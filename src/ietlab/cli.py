@@ -43,6 +43,10 @@ KNOWN_KEYS = (
 
 CSV_HEADER = ("kind", "k", "i", "j", "value_exact", "value_approx")
 
+# Largest accepted radicand: factoring it by trial division takes at most
+# 10^6 steps, done once per radicand.
+MAX_RADICAND = 10**12
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,6 +115,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if "d" in seen:
         value, number, column = seen["d"]
         d = _parse_int(value, 0, number, column)
+        if d > MAX_RADICAND:
+            raise ParseError(f"radicand {d} above maximum {MAX_RADICAND}",
+                             line=number, column=column)
         fields["d"] = d
     if "sigma" in seen:
         value, number, column = seen["sigma"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 from typing import Union
 
@@ -13,8 +14,13 @@ from .errors import MixedRadicand, ParseError
 RationalLike = Union[int, Fraction]
 
 
+@cache
 def _square_free(n: int) -> tuple[int, int]:
-    """Split n >= 0 as m * s**2 with m square-free; return (m, s)."""
+    """Split n >= 0 as m * s**2 with m square-free; return (m, s).
+
+    Trial division takes up to sqrt(n) steps, so each n is factored once
+    per process and the split is cached.
+    """
     m, s, f = n, 1, 2
     while f * f <= m:
         while m % (f * f) == 0:
@@ -28,7 +34,22 @@ def _fsign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), decided purely in rational arithmetic."""
+    if b == 0:
+        return _fsign(a)
+    if a == 0:
+        return _fsign(b)
+    sa, sb = _fsign(a), _fsign(b)
+    if sa == sb:
+        return sa
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        return 0
+    return sa if lhs > rhs else sb
+
+
+@dataclass(frozen=True, slots=True)
 class QuadReal:
     """Number a + b*sqrt(d) with rational a, b and square-free d >= 0.
 
@@ -75,13 +96,13 @@ class QuadReal:
 
     def __add__(self, other: "QuadReal | RationalLike") -> "QuadReal":
         o = _as_quad(other)
-        return quad(self.a + o.a, self.b + o.b, self._common_d(o))
+        return _trusted(self.a + o.a, self.b + o.b, self._common_d(o))
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadReal | RationalLike") -> "QuadReal":
         o = _as_quad(other)
-        return quad(self.a - o.a, self.b - o.b, self._common_d(o))
+        return _trusted(self.a - o.a, self.b - o.b, self._common_d(o))
 
     def __rsub__(self, other: RationalLike) -> "QuadReal":
         return _as_quad(other) - self
@@ -89,8 +110,8 @@ class QuadReal:
     def __mul__(self, other: "QuadReal | RationalLike") -> "QuadReal":
         o = _as_quad(other)
         d = self._common_d(o)
-        return quad(self.a * o.a + self.b * o.b * d,
-                    self.a * o.b + self.b * o.a, d)
+        return _trusted(self.a * o.a + self.b * o.b * d,
+                        self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -100,14 +121,14 @@ class QuadReal:
             raise ZeroDivisionError("division by zero")
         d = self._common_d(o)
         norm = o.a * o.a - o.b * o.b * d
-        return quad((self.a * o.a - self.b * o.b * d) / norm,
-                    (self.b * o.a - self.a * o.b) / norm, d)
+        return _trusted((self.a * o.a - self.b * o.b * d) / norm,
+                        (self.b * o.a - self.a * o.b) / norm, d)
 
     def __rtruediv__(self, other: RationalLike) -> "QuadReal":
         return _as_quad(other) / self
 
     def __neg__(self) -> "QuadReal":
-        return quad(-self.a, -self.b, self.d)
+        return _trusted(-self.a, -self.b, self.d)
 
     def __abs__(self) -> "QuadReal":
         return -self if quad_sign(self) < 0 else self
@@ -144,17 +165,22 @@ class QuadReal:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
+    def _compare(self, other: "QuadReal | RationalLike") -> int:
+        """Sign of self - other, from the differences of the coefficients."""
+        o = _as_quad(other)
+        return _sign(self.a - o.a, self.b - o.b, self._common_d(o))
+
     def __lt__(self, other: "QuadReal | RationalLike") -> bool:
-        return quad_sign(self - other) < 0
+        return self._compare(other) < 0
 
     def __le__(self, other: "QuadReal | RationalLike") -> bool:
-        return quad_sign(self - other) <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other: "QuadReal | RationalLike") -> bool:
-        return quad_sign(self - other) > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other: "QuadReal | RationalLike") -> bool:
-        return quad_sign(self - other) >= 0
+        return self._compare(other) >= 0
 
     # -- display ---------------------------------------------------------
 
@@ -165,11 +191,31 @@ class QuadReal:
         return float(quad_approx(self, 17))
 
 
+_ZERO = Fraction(0)
+_new = object.__new__
+# Slot setters write the fields of a frozen instance without its __setattr__.
+_set_a, _set_b, _set_d = QuadReal.a.__set__, QuadReal.b.__set__, QuadReal.d.__set__
+
+
+def _trusted(a: Fraction, b: Fraction, d: int) -> QuadReal:
+    """Wrap coefficients that are in normal form once b == 0 forces d to 0.
+
+    Sums, differences, products and quotients of normal operands of one
+    radicand meet that condition, so their results skip ``Fraction(...)``,
+    the factoring and ``__post_init__``.
+    """
+    x = _new(QuadReal)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d if b else 0)
+    return x
+
+
 def _as_quad(value: "QuadReal | RationalLike") -> QuadReal:
     if isinstance(value, QuadReal):
         return value
     if isinstance(value, (int, Fraction)):
-        return quad(value)
+        return _trusted(Fraction(value), _ZERO, 0)
     raise TypeError(f"cannot interpret {value!r} as a quadratic number")
 
 
@@ -197,17 +243,7 @@ def radical(d: int) -> QuadReal:
 
 def quad_sign(x: QuadReal) -> int:
     """Exact sign of x, decided purely in rational arithmetic."""
-    if x.b == 0:
-        return _fsign(x.a)
-    if x.a == 0:
-        return _fsign(x.b)
-    sa, sb = _fsign(x.a), _fsign(x.b)
-    if sa == sb:
-        return sa
-    lhs, rhs = x.a * x.a, x.b * x.b * x.d
-    if lhs == rhs:
-        return 0
-    return sa if lhs > rhs else sb
+    return _sign(x.a, x.b, x.d)
 
 
 def quad_floor(x: QuadReal) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Optional
 
 from .errors import InvalidPermutation, NonPositiveLength, OutOfDomain
@@ -87,10 +88,14 @@ class Iet:
     def apply(self, x: QuadReal) -> QuadReal:
         return x + self.tau[self.interval_index(x) - 1]
 
+    @cached_property
+    def _inverse_tau(self) -> tuple[QuadReal, ...]:
+        """tau(sigma^-1(k)) for k = 1..n: the translation that lands on I'(k)."""
+        inv = self.sigma.inverse()
+        return tuple(self.tau[inv(k) - 1] for k in range(1, self.n + 1))
+
     def apply_inverse(self, x: QuadReal) -> QuadReal:
-        k = self.image_interval_index(x)
-        i = self.sigma.inverse()(k)
-        return x - self.tau[i - 1]
+        return x - self._inverse_tau[self.image_interval_index(x) - 1]
 
     def iterate(self, x: QuadReal, power: int) -> QuadReal:
         step = self.apply if power >= 0 else self.apply_inverse

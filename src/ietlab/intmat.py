@@ -76,10 +76,3 @@ def inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
-
-def is_entrywise_positive(m: Sequence[Sequence[int]]) -> bool:
-    return all(v > 0 for row in m for v in row)
-
-
-def is_nonnegative(m: Sequence[Sequence[int]]) -> bool:
-    return all(v >= 0 for row in m for v in row)

@@ -1,9 +1,13 @@
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietlab import ParseError, parse_quad, quad, radical
-from ietlab.cli import CSV_HEADER, ExperimentConfig, main, parse_config
+from ietlab.cli import COMMANDS, CSV_HEADER, MAX_RADICAND, ExperimentConfig, main, parse_config
 
 SQRT2_CFG = """\
 d = 2
@@ -204,3 +208,49 @@ def test_cli_profile_needs_only_sigma(tmp_path):
     body = (out / "profile.csv").read_text()
     assert "genus,,,,2,2" in body
     assert run("lsigma", cfg, out) == 0
+
+
+def test_cli_rejects_radicand_above_bound(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "sigma = 2 1\nd = 1000000000000000003\nalpha = 1r, 1\n")
+    assert run("orbit", cfg, tmp_path / "out") == 4
+    err = capsys.readouterr().err
+    assert f"above maximum {MAX_RADICAND}" in err
+    assert "(line 2, column 5)" in err
+    assert parse_config(f"d = {MAX_RADICAND}\n").d == MAX_RADICAND
+
+
+fuzz_numbers = st.one_of(
+    st.sampled_from(["1", "1/2", "1r", "1/2+1/3r", "3-1r", "-1/4", "0", "x", "1/0"]),
+    st.builds(lambda p, q, r: f"{p}/{q}+{r}/{q}r", st.integers(-1, 9), st.integers(1, 9),
+              st.integers(-1, 3)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Config text that is mostly well formed, so that most draws reach the commands."""
+    n = draw(st.integers(2, 4))
+    sigma = draw(st.permutations(range(1, n + 1)) | st.lists(st.integers(0, 4), max_size=4))
+    alpha = draw(st.lists(fuzz_numbers, min_size=n, max_size=n)
+                 | st.lists(fuzz_numbers, min_size=1, max_size=4))
+    d = draw(st.sampled_from([2, 5, 8, 12, 1000003, 0, 1, MAX_RADICAND, MAX_RADICAND + 1,
+                              1000000000000000003, -1]))
+    return (f"d = {d}\nsigma = {' '.join(map(str, sigma))}\nalpha = {', '.join(alpha)}\n"
+            f"y0 = {draw(fuzz_numbers)}\nmax_steps = {draw(st.integers(1, 40))}\n"
+            f"depth = {draw(st.integers(1, 3))}\nlevels = {draw(st.integers(1, 2))}\n"
+            "window_n = 20\nhorizon = 2\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COMMANDS), fuzz_configs())
+def test_cli_fuzz_exits_cleanly(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/fuzz.cfg"
+        with open(cfg, "w") as stream:
+            stream.write(text)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg, "--out", f"{tmp}/out"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

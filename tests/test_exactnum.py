@@ -17,6 +17,7 @@ from ietlab import (
     quad_sign,
     radical,
 )
+from ietlab.exactnum import _square_free
 from helpers import to_mp
 
 small_fractions = st.fractions(
@@ -152,3 +153,78 @@ def test_comparison_with_ints_and_fractions():
 def test_quadreal_is_immutable():
     with pytest.raises(Exception):
         radical(2).a = Fraction(0)
+
+
+# Radicands for the differential tests: 8 and 12 are not square-free, and
+# 1000003 is a 7-digit prime.
+RADICANDS = (2, 5, 8, 12, 1000003)
+
+
+@st.composite
+def same_field_operands(draw):
+    d = draw(st.sampled_from(RADICANDS))
+    x = draw(quads(d))
+    y = draw(st.one_of(quads(d), small_fractions, st.integers(-5, 5)))
+    return x, y
+
+
+def assert_normal(r):
+    assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
+    renormalized = quad(r.a, r.b, r.d)
+    assert (r.a, r.b, r.d) == (renormalized.a, renormalized.b, renormalized.d)
+    QuadReal(r.a, r.b, r.d)  # full validation accepts it
+
+
+@given(same_field_operands())
+def test_operators_match_quad_normal_form(operands):
+    x, y = operands
+    o = y if isinstance(y, QuadReal) else quad(y)
+    d = x.d or o.d
+    expected = {
+        "+": quad(x.a + o.a, x.b + o.b, d),
+        "-": quad(x.a - o.a, x.b - o.b, d),
+        "*": quad(x.a * o.a + x.b * o.b * d, x.a * o.b + x.b * o.a, d),
+        "neg": quad(-x.a, -x.b, x.d),
+    }
+    results = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
+    if o:
+        norm = o.a * o.a - o.b * o.b * d
+        expected["/"] = quad((x.a * o.a - x.b * o.b * d) / norm,
+                             (x.b * o.a - x.a * o.b) / norm, d)
+        results["/"] = x / y
+    for op, r in results.items():
+        assert_normal(r)
+        assert (r.a, r.b, r.d) == (expected[op].a, expected[op].b, expected[op].d), op
+    for r in (y + x, y - x, y * x):
+        assert_normal(r)
+
+
+@given(same_field_operands())
+def test_comparisons_match_sign_of_difference(operands):
+    x, y = operands
+    sign = quad_sign(x - y)
+    assert (x < y) == (sign < 0)
+    assert (x <= y) == (sign <= 0)
+    assert (x > y) == (sign > 0)
+    assert (x >= y) == (sign >= 0)
+
+
+def test_comparison_rejects_other_radicands_and_types():
+    with pytest.raises(MixedRadicand):
+        radical(2) < radical(3)
+    with pytest.raises(TypeError):
+        radical(2) < 1.5
+
+
+def test_each_radicand_is_factored_once():
+    _square_free.cache_clear()
+    operands = [quad(k, 1, 1000003) for k in range(1, 11)]
+    expected = quad(100 * sum(range(1, 11)), 1000, 1000003)
+    assert _square_free.cache_info().misses == 1
+    before = _square_free.cache_info()
+    total = quad(0)
+    for k in range(1000):
+        total = total + operands[k % 10]
+        assert total > operands[k % 10] or k == 0
+    assert total == expected
+    assert _square_free.cache_info() == before  # arithmetic never factors
