@@ -6,6 +6,8 @@ groups, and invariant-measure estimates all compute over Q(sqrt(d)) with
 no floating point in any decision.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ClosedTransversalRequired,
     ConsistencyViolation,
@@ -40,7 +42,6 @@ from .iet import (
     OrbitPoint,
     Permutation,
     idoc_check,
-    iet_apply,
     iet_new,
     irreducible,
     orbit,
@@ -104,92 +105,6 @@ from .suspension import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityResult",
-    "AdmissibleInterval",
-    "BratteliDiagram",
-    "BratteliLevel",
-    "Certificate",
-    "ClosedTransversalRequired",
-    "ConeApprox",
-    "ConsistencyViolation",
-    "DEFAULT_MAX_STEPS",
-    "DegenerateAt",
-    "DepthExceeded",
-    "DimensionGroup",
-    "Floor",
-    "GroupElement",
-    "HorizonExceedsDepth",
-    "IdocResult",
-    "Iet",
-    "IetlabError",
-    "InductionStep",
-    "InvalidPermutation",
-    "LSigma",
-    "Marker",
-    "MeasureVector",
-    "MixedRadicand",
-    "NonPositiveLength",
-    "NotAdmissible",
-    "NotVerifiedIDOC",
-    "OrbitPoint",
-    "OutOfDomain",
-    "ParseError",
-    "Permutation",
-    "QuadReal",
-    "Reducible",
-    "ReturnTimeExceeded",
-    "ShapeViolation",
-    "Singularity",
-    "SingularityProfile",
-    "Strip",
-    "StripLevel",
-    "Tower",
-    "TowerPartition",
-    "basic_interval",
-    "bratteli",
-    "coinvariant_shift",
-    "column_sums",
-    "cone_approx",
-    "det",
-    "dimension_group",
-    "dual_cone_test",
-    "empirical_measure",
-    "export_bratteli",
-    "first_return_blocks",
-    "format_quad",
-    "identity",
-    "idoc_check",
-    "iet_apply",
-    "iet_new",
-    "induce",
-    "inverse",
-    "irreducible",
-    "is_admissible",
-    "l_sigma",
-    "mat_mul",
-    "mat_vec",
-    "nesting_holds",
-    "orbit",
-    "orbit_classes",
-    "orbit_point",
-    "parse_quad",
-    "permutation",
-    "positivity",
-    "quad",
-    "quad_approx",
-    "quad_floor",
-    "quad_sign",
-    "radical",
-    "render_strip_level",
-    "shrink_sequence",
-    "singularity_profile",
-    "strip_class_matrix",
-    "strip_coordinates",
-    "strip_decomposition",
-    "strip_dimension_group_feed",
-    "towers",
-    "transpose",
-    "unique_ergodicity_certificate",
-    "whole_interval",
-]
+# Every public name imported above; the submodules bound by those imports are left out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -18,6 +18,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,7 +26,8 @@ from . import ktheory, measures, suspension
 from .errors import IetlabError, ParseError
 from .exactnum import QuadReal, format_quad, parse_quad, quad, quad_approx
 from .iet import Iet, Permutation, idoc_check, iet_new
-from .induction import DEFAULT_MAX_STEPS, basic_interval, induce, shrink_sequence
+from .induction import (DEFAULT_MAX_STEPS, InductionStep, basic_interval, induce,
+                        shrink_sequence)
 from .intmat import det
 from .render import render_strip_level
 
@@ -209,12 +211,8 @@ def _matrix_rows(kind: str, matrix, k: object = "") -> list[Row]:
 
 def _cmd_orbit(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     T = _make_iet(config)
-    rows = []
-    x = config.y0
-    for k in range(config.depth + 1):
-        rows.append(_row("orbit_point", k, T.interval_index(x), "", _q(x)))
-        x = T.apply(x)
-    return rows, 0
+    orbit = islice(T.walk(config.y0), config.depth + 1)
+    return [_row("orbit_point", k, i, "", _q(x)) for k, (i, x) in enumerate(orbit)], 0
 
 
 def _cmd_idoc(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
@@ -228,6 +226,11 @@ def _cmd_idoc(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     if result.reason:
         rows.append(_text_row("reason", result.reason))
     return rows, 0
+
+
+def _chain(config: ExperimentConfig) -> list[InductionStep]:
+    return shrink_sequence(_make_iet(config), config.y0, config.depth,
+                           max_steps=config.max_steps, side=config.side)
 
 
 def _window_of(T: Iet, config: ExperimentConfig):
@@ -255,9 +258,7 @@ def _cmd_induce(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 
 
 def _cmd_shrink(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
-    T = _make_iet(config)
-    chain = shrink_sequence(T, config.y0, config.depth, max_steps=config.max_steps,
-                            side=config.side)
+    chain = _chain(config)
     rows: list[Row] = []
     for k, step in enumerate(chain):
         rows.append(_row("window_left", k, pair=_q(step.origin)))
@@ -268,9 +269,7 @@ def _cmd_shrink(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 
 
 def _cmd_cone(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
-    T = _make_iet(config)
-    chain = shrink_sequence(T, config.y0, config.depth, max_steps=config.max_steps,
-                            side=config.side)
+    chain = _chain(config)
     epsilon = config.epsilon if config.epsilon is not None else measures.DEFAULT_CLUSTER_EPSILON
     cone = measures.cone_approx(chain, epsilon)
     rows = [_int_row("depth", cone.depth), _int_row("nu_estimate", cone.nu_estimate)]
@@ -292,9 +291,7 @@ def _cmd_measure(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 
 
 def _cmd_certify(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
-    T = _make_iet(config)
-    chain = shrink_sequence(T, config.y0, config.depth, max_steps=config.max_steps,
-                            side=config.side)
+    chain = _chain(config)
     certificate = measures.unique_ergodicity_certificate(chain, config.horizon)
     rows = [
         _int_row("certified", int(certificate.certified)),
@@ -322,10 +319,10 @@ def _cmd_profile(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
                  for position, member in enumerate(cycle)]
     if profile.genus is not None:
         rows.append(_int_row("genus", profile.genus))
-    rows.append(_int_row("closed_transversal", int(bool(profile.closed_transversal))))
+    rows.append(_int_row("closed_transversal", int(profile.closed_transversal)))
     rows += [_int_row("fake_saddle", j, i=index)
              for index, j in enumerate(profile.fake_saddles, start=1)]
-    rows.append(_int_row("endpoints_share_cycle", int(bool(profile.endpoints_share_cycle))))
+    rows.append(_int_row("endpoints_share_cycle", int(profile.endpoints_share_cycle)))
     return rows, 0
 
 
@@ -375,9 +372,7 @@ def _cmd_towers(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 
 
 def _cmd_bratteli(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
-    T = _make_iet(config)
-    chain = shrink_sequence(T, config.y0, config.depth, max_steps=config.max_steps,
-                            side=config.side)
+    chain = _chain(config)
     diagram = ktheory.bratteli(chain, max_steps=config.max_steps)
     (out / "bratteli.dot").write_text(ktheory.export_bratteli(diagram))
     rows: list[Row] = []
@@ -387,9 +382,7 @@ def _cmd_bratteli(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 
 
 def _cmd_group(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
-    T = _make_iet(config)
-    chain = shrink_sequence(T, config.y0, config.depth, max_steps=config.max_steps,
-                            side=config.side)
+    chain = _chain(config)
     group = ktheory.dimension_group(chain=chain)
     rows = [
         _text_row("source", group.source),
@@ -399,7 +392,7 @@ def _cmd_group(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     for k, matrix in enumerate(group.matrices):
         rows += _matrix_rows("matrix_entry", matrix, k)
     if config.levels is not None:
-        _, levels = _strip_levels(config)
+        T, levels = _strip_levels(config)
         strip_group = ktheory.dimension_group(strips=levels)
         rows.append(_text_row("source", strip_group.source))
         rows.append(_int_row("depth", strip_group.depth))

@@ -1,12 +1,20 @@
-"""Interval exchange transformations, orbits, and the distinct-orbit test."""
+"""Interval exchange transformations, orbits, and the distinct-orbit test.
+
+Every orbit of a point and every block flowed under a map goes through one
+generator, ``Iet.walk``: it yields each point with its interval index,
+steps forward or backward, and guards a block against crossing a
+separation point.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
-from .errors import InvalidPermutation, NonPositiveLength, OutOfDomain
+from .errors import ConsistencyViolation, InvalidPermutation, NonPositiveLength, OutOfDomain
 from .exactnum import QuadReal, _as_quad, quad
 
 
@@ -69,21 +77,17 @@ class Iet:
 
     def interval_index(self, x: QuadReal) -> int:
         """The 1-based i with x in I(i); raises OutOfDomain otherwise."""
-        if x < self.beta[0] or x >= self.total:
+        i = bisect_right(self.beta, x)
+        if not 0 < i <= self.n:
             raise OutOfDomain(f"{x} outside [0, {self.total})")
-        for i in range(1, self.n + 1):
-            if x < self.beta[i]:
-                return i
-        raise OutOfDomain(f"{x} outside [0, {self.total})")  # pragma: no cover
+        return i
 
     def image_interval_index(self, x: QuadReal) -> int:
         """The 1-based k with x in I'(k) = [beta'(k-1), beta'(k))."""
-        if x < self.beta_prime[0] or x >= self.total:
+        k = bisect_right(self.beta_prime, x)
+        if not 0 < k <= self.n:
             raise OutOfDomain(f"{x} outside [0, {self.total})")
-        for k in range(1, self.n + 1):
-            if x < self.beta_prime[k]:
-                return k
-        raise OutOfDomain(f"{x} outside [0, {self.total})")  # pragma: no cover
+        return k
 
     def apply(self, x: QuadReal) -> QuadReal:
         return x + self.tau[self.interval_index(x) - 1]
@@ -96,6 +100,26 @@ class Iet:
 
     def apply_inverse(self, x: QuadReal) -> QuadReal:
         return x - self._inverse_tau[self.image_interval_index(x) - 1]
+
+    def walk(self, x: QuadReal, width: Optional[QuadReal] = None,
+             backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
+        """Yield (i, y) for y = x, T(x), T^2(x), ..., with y in I(i).
+
+        With ``backward`` the walk follows T^-1 and i indexes the image
+        interval I'(i).  With a ``width`` the block [y, y + width) is walked,
+        and asking to step it across a separation point raises
+        ConsistencyViolation.
+        """
+        if backward:
+            index, ends, name = self.image_interval_index, self.beta_prime, "beta'"
+        else:
+            index, ends, name = self.interval_index, self.beta, "beta"
+        while True:
+            i = index(x)
+            yield i, x
+            if width is not None and not x + width <= ends[i]:
+                raise ConsistencyViolation(f"block [{x}, {x + width}) crosses {name}({i})")
+            x = x - self._inverse_tau[i - 1] if backward else x + self.tau[i - 1]
 
     def iterate(self, x: QuadReal, power: int) -> QuadReal:
         step = self.apply if power >= 0 else self.apply_inverse
@@ -124,19 +148,11 @@ def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:
     return Iet(sigma, lengths, tuple(beta), tuple(beta_prime), tau)
 
 
-def iet_apply(T: Iet, x: QuadReal,
-              direction: Literal["forward", "inverse"] = "forward") -> QuadReal:
-    return T.apply(x) if direction == "forward" else T.apply_inverse(x)
-
-
 def orbit(T: Iet, x: QuadReal, k_from: int, k_to: int) -> tuple[QuadReal, ...]:
     """Exact points T^k(x) for k in [k_from, k_to]."""
     if k_from > k_to:
         raise ValueError("empty exponent range")
-    points = [T.iterate(x, k_from)]
-    for _ in range(k_from, k_to):
-        points.append(T.apply(points[-1]))
-    return tuple(points)
+    return tuple(y for _, y in islice(T.walk(T.iterate(x, k_from)), k_to - k_from + 1))
 
 
 @dataclass(frozen=True)
@@ -183,12 +199,9 @@ def idoc_check(T: Iet, depth: int) -> IdocResult:
         return IdocResult(False, depth, None, "sigma is reducible")
     seen: dict[QuadReal, tuple[int, int]] = {}
     for i in range(1, T.n):
-        x = T.beta[i]
-        for k in range(depth + 1):
+        for k, (_, x) in enumerate(islice(T.walk(T.beta[i]), depth + 1)):
             if x in seen:
                 return IdocResult(False, depth, (seen[x], (i, k)),
                                   "orbit collision")
             seen[x] = (i, k)
-            if k < depth:
-                x = T.apply(x)
     return IdocResult(True, depth)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Literal, Optional
 
 from .errors import (ConsistencyViolation, DegenerateAt, NotAdmissible,
@@ -70,17 +71,14 @@ def is_admissible(T: Iet, a: OrbitPoint, b: OrbitPoint) -> AdmissibilityResult:
 
     for tag, point in (("left", a), ("right", b)):
         e = point.power
-        x = T.beta[point.base]
+        start = T.beta[point.base]
         if e >= 0:
-            for m in range(1, e):
-                x = T.apply(x)
-                if inside(x):
-                    return AdmissibilityResult(False, m, x, tag)
+            visits = zip(range(1, e), islice(T.walk(start), 1, None))
         else:
-            for m in range(0, e, -1):
-                if inside(x):
-                    return AdmissibilityResult(False, m, x, tag)
-                x = T.apply_inverse(x)
+            visits = zip(range(0, e, -1), T.walk(start, backward=True))
+        for m, (_, x) in visits:
+            if inside(x):
+                return AdmissibilityResult(False, m, x, tag)
     return AdmissibilityResult(True)
 
 
@@ -105,16 +103,21 @@ def _division_points(T: Iet, a: QuadReal, b: QuadReal,
     """For each beta(j), the first backward-orbit point strictly inside (a, b).
 
     Exact hits on a are skipped and the backward orbit continued, so the
-    points always cut J into n nonempty blocks.
+    points always cut J into n nonempty blocks.  An orbit that comes back to
+    beta(j) before entering (a, b) never will, and fails at once.
     """
     points = []
     for j in range(1, T.n):
-        x = T.beta[j]
-        for _ in range(max_steps + 1):
+        start = T.beta[j]
+        orbit = islice(T.walk(start, backward=True), max_steps + 1)
+        for steps, (_, x) in enumerate(orbit):
             if a < x < b:
                 points.append(x)
                 break
-            x = T.apply_inverse(x)
+            if steps and x == start:
+                raise ReturnTimeExceeded(
+                    f"backward orbit of beta({j}) is periodic with period "
+                    f"{steps} and avoids the interval")
         else:
             raise ReturnTimeExceeded(
                 f"backward orbit of beta({j}) avoided the interval for "
@@ -131,17 +134,11 @@ def _flow_block(T: Iet, left: QuadReal, width: QuadReal, a: QuadReal,
     Returns the interval-index visit word (one entry per step, counted
     before applying T) and the landing left endpoint.
     """
-    visits = []
-    x = left
-    for _ in range(max_steps):
-        i = T.interval_index(x)
-        if not x + width <= T.beta[i]:
-            raise ConsistencyViolation(
-                "return block straddles a separation point")
-        visits.append(i)
-        x = x + T.tau[i - 1]
-        if a <= x < b:
+    visits: list[int] = []
+    for i, x in islice(T.walk(left, width), max_steps + 1):
+        if visits and a <= x < b:
             return visits, x
+        visits.append(i)
     raise ReturnTimeExceeded(
         f"block at {left} did not return within {max_steps} steps")
 

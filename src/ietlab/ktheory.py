@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Literal, Sequence
 
 from .errors import ConsistencyViolation, HorizonExceedsDepth, ReturnTimeExceeded
@@ -66,15 +67,8 @@ def towers(T: Iet, Y: AdmissibleInterval, max_steps: int = DEFAULT_MAX_STEPS) ->
         base_right = Y.left + induced.beta[l]
         width = base_right - base_left
         height = step.return_times[l - 1]
-        floors = []
-        x = base_left
-        for _ in range(height):
-            i = T.interval_index(x)
-            if not x + width <= T.beta[i]:
-                raise ConsistencyViolation(f"tower block crosses beta({i})")
-            x = T.apply(x)
-            floors.append((x, x + width))
-        result.append(Tower(l, base_left, base_right, height, tuple(floors)))
+        floors = tuple((x, x + width) for _, x in islice(T.walk(base_left, width), 1, height + 1))
+        result.append(Tower(l, base_left, base_right, height, floors))
     _check_tower_partition(T, Y, result)
     return TowerPartition(Y=Y, towers=tuple(result), algebra_dims=tuple(t.height for t in result))
 
@@ -143,9 +137,9 @@ def _verify_edge(T: Iet, step: InductionStep, prev_origin: QuadReal, max_steps: 
     cur_origin = step.origin
     for m in range(1, cur.n + 1):
         width = cur.alpha[m - 1]
-        x = cur_origin + cur.beta[m - 1]
         counts = [0] * prev.n
-        for t in range(max_steps):
+        walk = T.walk(cur_origin + cur.beta[m - 1], width)
+        for t, (_, x) in enumerate(islice(walk, max_steps)):
             if t >= 1 and cur_origin <= x and x + width <= cur_origin + cur.total:
                 break
             if prev_origin <= x and x + width <= prev_origin + prev.total:
@@ -155,10 +149,6 @@ def _verify_edge(T: Iet, step: InductionStep, prev_origin: QuadReal, max_steps: 
                 counts[l - 1] += 1
             elif x < prev_origin + prev.total and prev_origin < x + width:
                 raise ConsistencyViolation("walk block straddles the previous window")
-            i = T.interval_index(x)
-            if not x + width <= T.beta[i]:
-                raise ConsistencyViolation(f"walk block crosses beta({i})")
-            x = T.apply(x)
         else:
             raise ReturnTimeExceeded(f"no return within {max_steps} steps")
         if counts != [step.A[l][m - 1] for l in range(prev.n)]:
@@ -336,11 +326,9 @@ def coinvariant_shift(sigma: Permutation, i: int) -> tuple[int, ...]:
 def orbit_classes(T: Iet, depth: int) -> tuple[tuple[int, ...], ...]:
     """Classes of [0, T^k(0)) in interval coordinates, for k = 0..depth."""
     classes = [tuple([0] * T.n)]
-    x = quad(0)
-    for _ in range(depth):
-        shift = coinvariant_shift(T.sigma, T.interval_index(x))
+    for i, _ in islice(T.walk(quad(0)), depth):
+        shift = coinvariant_shift(T.sigma, i)
         classes.append(tuple(a + b for a, b in zip(classes[-1], shift)))
-        x = T.apply(x)
     return tuple(classes)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .errors import OutOfDomain
@@ -127,10 +128,8 @@ def empirical_measure(T: Iet, p: QuadReal | Fraction | int, m: int, n_steps: int
     if x < quad(0) or not x < T.total:
         raise OutOfDomain(f"point {x} outside [0, {T.total})")
     counts = [0] * T.n
-    for step in range(m + n_steps + 1):
-        if step >= m:
-            counts[T.interval_index(x) - 1] += 1
-        x = T.apply(x)
+    for i, _ in islice(T.walk(x), m, m + n_steps + 1):
+        counts[i - 1] += 1
     raw = tuple(Fraction(c, n_steps) for c in counts)
     normalized = tuple(Fraction(c, n_steps + 1) for c in counts)
     return MeasureVector(raw=raw, normalized=normalized)

@@ -17,6 +17,7 @@ an existing strip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     ClosedTransversalRequired,
@@ -52,20 +53,24 @@ class Singularity:
 class SingularityProfile:
     """Combinatorial singularity data of the suspension of a permutation.
 
-    Fields past ``N`` are filled by ``singularity_profile`` and keep their
-    neutral defaults when only ``sigma0`` ran.  ``genus`` stays None when
-    the multiplicities do not sum to an even number.
+    ``sigma0`` is the boundary permutation on {0..n} as an image tuple and
+    ``cycles`` are its cycles, ``N`` of them.  Every cycle with a member
+    other than 0 and n is a singularity; the rest are ``dropped_cycles``.
+    ``genus`` is None when the multiplicities sum to an odd number.
+    ``closed_transversal`` is sigma(n) = sigma(1) - 1, ``fake_saddles``
+    lists the j with sigma(j + 1) = sigma(j) + 1, and
+    ``endpoints_share_cycle`` says whether 0 and n lie on one cycle.
     """
 
     sigma0: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
     N: int
-    singularities: tuple[Singularity, ...] = ()
-    dropped_cycles: tuple[tuple[int, ...], ...] = ()
-    genus: int | None = None
-    closed_transversal: bool | None = None
-    fake_saddles: tuple[int, ...] = ()
-    endpoints_share_cycle: bool | None = None
+    singularities: tuple[Singularity, ...]
+    dropped_cycles: tuple[tuple[int, ...], ...]
+    genus: int | None
+    closed_transversal: bool
+    fake_saddles: tuple[int, ...]
+    endpoints_share_cycle: bool
 
 
 def _sigma0_images(sigma: Permutation) -> tuple[int, ...]:
@@ -94,22 +99,16 @@ def _cycles_of(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def sigma0(sigma: Permutation) -> SingularityProfile:
-    """Evaluate the boundary permutation on {0..n} and its cycle structure."""
+def singularity_profile(sigma: Permutation) -> SingularityProfile:
+    """Boundary permutation, its cycles, multiplicities, prongs, genus, and the flags."""
     if not irreducible(sigma):
         raise Reducible(f"sigma {sigma.images} is reducible")
     images = _sigma0_images(sigma)
     cycles = _cycles_of(images)
-    return SingularityProfile(sigma0=images, cycles=cycles, N=len(cycles))
-
-
-def singularity_profile(sigma: Permutation) -> SingularityProfile:
-    """Full singularity data: multiplicities, prongs, genus, and the flags."""
-    base = sigma0(sigma)
     n = sigma.n
     singularities = []
     dropped = []
-    for cycle in base.cycles:
+    for cycle in cycles:
         kept = [j for j in cycle if j not in (0, n)]
         if not kept:
             dropped.append(cycle)
@@ -120,11 +119,11 @@ def singularity_profile(sigma: Permutation) -> SingularityProfile:
         )
     total_k = sum(s.multiplicity for s in singularities)
     genus = (total_k + 2) // 2 if total_k % 2 == 0 else None
-    shared = any(0 in cycle and n in cycle for cycle in base.cycles)
+    shared = any(0 in cycle and n in cycle for cycle in cycles)
     return SingularityProfile(
-        sigma0=base.sigma0,
-        cycles=base.cycles,
-        N=base.N,
+        sigma0=images,
+        cycles=cycles,
+        N=len(cycles),
         singularities=tuple(singularities),
         dropped_cycles=tuple(dropped),
         genus=genus,
@@ -217,17 +216,18 @@ class _OrbitCache:
     """Forward orbit of 0 with separation-point and injectivity guards."""
 
     def __init__(self, T: Iet, max_steps: int) -> None:
-        self.T = T
         self.max_steps = max_steps
-        self.values: list[QuadReal] = [quad(0)]
-        self.seen = {quad(0)}
+        self.orbit = islice(T.walk(quad(0)), max_steps + 1)
+        self.values: list[QuadReal] = []
+        self.seen: set[QuadReal] = set()
         self.separation = set(T.beta[1:-1])
 
     def value(self, k: int) -> QuadReal:
         while len(self.values) <= k:
-            if len(self.values) > self.max_steps:
+            step = next(self.orbit, None)
+            if step is None:
                 raise DepthExceeded(f"orbit of 0 longer than {self.max_steps} steps")
-            x = self.T.apply(self.values[-1])
+            x = step[1]
             if x in self.separation:
                 raise NotVerifiedIDOC(
                     f"orbit of 0 hits a separation point at exponent {len(self.values)}"
@@ -277,26 +277,22 @@ def _flow_strip(
     max_steps: int,
 ) -> tuple[list[Floor], list[int]]:
     """Flow a bottom floor forward until it lands inside a marked span."""
-    floors = [bottom]
+    floors: list[Floor] = []
     word: list[int] = []
-    for _ in range(max_steps):
-        current = floors[-1]
-        if any(lo <= current.left and current.right <= hi for _, lo, hi in spans):
+    width = bottom.right - bottom.left
+    for step, (i, left) in enumerate(islice(T.walk(bottom.left, width), max_steps)):
+        floor = bottom
+        if step:
+            floor = Floor(left, left + width, bottom.left_exponent + step,
+                          bottom.right_exponent + step,
+                          i if left + width <= T.beta[i] else None)
+            if not (floor.left == cache.value(floor.left_exponent)
+                    and floor.right == cache.value(floor.right_exponent)):
+                raise ConsistencyViolation("floor endpoints left the orbit of 0")
+        floors.append(floor)
+        if any(lo <= floor.left and floor.right <= hi for _, lo, hi in spans):
             return floors, word
-        i = T.interval_index(current.left)
-        if not current.right <= T.beta[i]:
-            raise ConsistencyViolation(
-                f"floor [{current.left}, {current.right}) crosses beta({i})"
-            )
-        shift = T.tau[i - 1]
-        left = current.left + shift
-        right = current.right + shift
-        if not (left == cache.value(current.left_exponent + 1)
-                and right == cache.value(current.right_exponent + 1)):
-            raise ConsistencyViolation("floor endpoints left the orbit of 0")
         word.append(i)
-        floors.append(Floor(left, right, current.left_exponent + 1,
-                            current.right_exponent + 1, _containing_interval(T, left, right)))
     raise DepthExceeded(f"strip did not close within {max_steps} floors")
 
 

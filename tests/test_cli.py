@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -219,6 +220,16 @@ def test_cli_rejects_radicand_above_bound(tmp_path, capsys):
     assert parse_config(f"d = {MAX_RADICAND}\n").d == MAX_RADICAND
 
 
+
+def test_cli_shrink_fails_fast_on_periodic_data(tmp_path, capsys):
+    # every orbit of a rational rotation is periodic, so no return search can succeed
+    cfg = write_cfg(tmp_path, "sigma = 2 1\nalpha = 1, 1\ndepth = 3\n")
+    assert run("shrink", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "ReturnTimeExceeded" in err
+    assert "beta(1) is periodic with period 2" in err
+
+
 fuzz_numbers = st.one_of(
     st.sampled_from(["1", "1/2", "1r", "1/2+1/3r", "3-1r", "-1/4", "0", "x", "1/0"]),
     st.builds(lambda p, q, r: f"{p}/{q}+{r}/{q}r", st.integers(-1, 9), st.integers(1, 9),
@@ -254,3 +265,149 @@ def test_cli_fuzz_exits_cleanly(command, text):
             code = main([command, "--config", cfg, "--out", f"{tmp}/out"])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+GOLDEN_CFG = """\
+d = 5
+sigma = 2 1
+alpha = -1/2+1/2r, 3/2-1/2r
+y0 = 1/10
+depth = 8
+levels = 3
+window_n = 1000
+"""
+
+# Exit code and sha256 of every artifact and of stdout, per config and command.
+GOLDEN_DIGESTS = {
+    "golden bratteli": (0, {
+        "bratteli.csv": "7446ef11e6042e7abdc1a9f0929e88d9edc19e2ab110bfd36975a193696964a6",
+        "bratteli.dot": "ea0cd3ecb6cbdf01ccd0ad4c6c31efb73c6bec657b8dbf5df6d84a85a8d79214",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden certify": (0, {
+        "certify.csv": "2505894f7a1d0bb392e572cb6bf0a68efa3b4374838437663e5fd11eea84c3ea",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden cone": (0, {
+        "cone.csv": "f4b1cb959231b18997e12c57ebf14d0447bf43c71ae800600e0586832a656ca2",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden group": (0, {
+        "group.csv": "87e2bce7080650f69824b89ccecd07a934d5431225de89e1d499cceebdd16f37",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden idoc": (0, {
+        "idoc.csv": "9ca0155eb9055d3c331adbc23b2302099d3f8fc4ffd6ac1aa98e9bf93eaf2c59",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden induce": (0, {
+        "induce.csv": "7b3496405ef80e698ee1e54ce682ad4342b8dc45d0a12c6f23c3163888ebc20c",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden lsigma": (0, {
+        "lsigma.csv": "f3ebec37642de77b1a595e4989791a043f3e0de62c105fe4036c4ccaa23f1fbb",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden measure": (0, {
+        "measure.csv": "eb8a7864153bd529f76df6d63b369cf965e9e20b2b5b3f80b98892759d7fc739",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden orbit": (0, {
+        "orbit.csv": "2e20c517cc8b67991dd4eab17786498aa16825b03f7084c47f8ddb7a3177f408",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden profile": (0, {
+        "profile.csv": "5d45c78816a063df35f27bb455dbb8350adac58696534a00303b197046ee7e52",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden render": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "strips_level1.svg": "443f9d712bed01fab00b22bfaef5a05c4651196448eaaba347feba7f9b47d79f",
+        "strips_level2.svg": "43d35193ea7e309f1e68ec17d7b97e728a4deceafa9cc35c514ffffe5eb751e9",
+        "strips_level3.svg": "ae4f37cb56a7edeac04248efcd0cbac362e96a96ecdc5725d7a73d4a2cb0af33",
+    }),
+    "golden shrink": (0, {
+        "shrink.csv": "ad6882fb384973c84844e8f706a35f1c9a25eaa36b5a5f2dd7a293a31159b658",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "golden strips": (0, {
+        "stdout": "0ecf9f11aae4e46d8fcfe784d11829e81db69493da92e404f892283a680c300a",
+        "strips.csv": "f81832dcfdb5a97bfae8ac0ca432ab65ca27d6bde5dcc12930f857eb6661e5e2",
+    }),
+    "golden towers": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "towers.csv": "c45462d04e6030590db52643c57f4610b8f05ac8f6446b883065c4e54ba5843d",
+    }),
+    "sqrt2 bratteli": (0, {
+        "bratteli.csv": "827a09fdfb89f2fbc2411293f46ab32ea9a39360c3a7809b4a1fbc24dea9c7b3",
+        "bratteli.dot": "c52c3bb8ca9c7a0652f7cd368f12993a839ecf691c01878b53d54b94e2c778c6",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 certify": (0, {
+        "certify.csv": "bc998aa983df9a00a1a57b256119446f07a9995e3e5d319a0c0986c605e20cc2",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 cone": (0, {
+        "cone.csv": "3619e3363f022b001f8ed8a95360807f9031da14e04fffdc63e8cb19c953751d",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 group": (0, {
+        "group.csv": "8e641d9910bca38a5a4d1ac1e75b5038af9a3db266b2308942c75f20a761fe57",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 idoc": (0, {
+        "idoc.csv": "2a38b7603ae385302971673f16449a2021a1a3ee061b6fdf2d4455876ea93414",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 induce": (0, {
+        "induce.csv": "c1801c463c2351085ee087c7540b1e25df2a4fc5cc7437c5ded6b69e43781cdd",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 lsigma": (0, {
+        "lsigma.csv": "f3ebec37642de77b1a595e4989791a043f3e0de62c105fe4036c4ccaa23f1fbb",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 measure": (0, {
+        "measure.csv": "05d7efb55850f91f015c7ac126bb8b1b13b170b4777d41c67e8c8a581ca5ad5e",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 orbit": (0, {
+        "orbit.csv": "2c74d94ea4ce9fdec62c1e4719274fed84d4e449c4cb4b47ffab859eb42713c8",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 profile": (0, {
+        "profile.csv": "5d45c78816a063df35f27bb455dbb8350adac58696534a00303b197046ee7e52",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 render": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "strips_level1.svg": "c1696d5ad07d606ce964574e018a4d026a3cc260213228c41c5b38b16a0220c8",
+        "strips_level2.svg": "268567aeb439d7a5ac42e536f36d11c6799e7512e7544d0a91907cb16d2d5dca",
+    }),
+    "sqrt2 shrink": (0, {
+        "shrink.csv": "15d92cca2e360a2b8512e0afb537c4d328b7d38014fddbed39767e7b648dea55",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "sqrt2 strips": (0, {
+        "stdout": "9341701dbd0fbb34100c75c6b0ef3165d8d946770ebb1ea1461da81de5e003e1",
+        "strips.csv": "06529a379820ccd9d9b5a24b65cc5d5fc8878e8148d72f6ac1667de99b1f1557",
+    }),
+    "sqrt2 towers": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "towers.csv": "19dd9c1bb4ff627c686425d607c6b90408a640f7cf89cc5db74a2d30c1b28f28",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "golden"])
+def test_cli_artifacts_match_pinned_digests(tmp_path, name):
+    cfg = write_cfg(tmp_path, {"sqrt2": SQRT2_CFG, "golden": GOLDEN_CFG}[name])
+    for command in COMMANDS:
+        out = tmp_path / command
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            code = run(command, cfg, out)
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir()}
+        digests["stdout"] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+        assert (code, digests) == GOLDEN_DIGESTS[f"{name} {command}"], command

@@ -1,16 +1,17 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietlab import (
+    ConsistencyViolation,
     InvalidPermutation,
     NonPositiveLength,
     OutOfDomain,
     Permutation,
     format_quad,
     idoc_check,
-    iet_apply,
     iet_new,
     irreducible,
     orbit,
@@ -120,10 +121,6 @@ def test_iterate_matches_repeated_apply(sqrt2_iet):
     )
 
 
-def test_iet_apply_helper(sqrt2_iet):
-    assert iet_apply(sqrt2_iet, quad(0)) == sqrt2_iet.apply(quad(0))
-
-
 def test_idoc_verified_for_quadratic_examples(sqrt2_iet, golden_iet):
     assert idoc_check(sqrt2_iet, 200).verified
     assert idoc_check(golden_iet, 200).verified
@@ -155,3 +152,60 @@ def test_random_irreducible_helper():
     for n in range(2, 7):
         sigma = random_irreducible(rng, n)
         assert irreducible(sigma)
+
+
+@st.composite
+def walk_cases(draw):
+    """A random irreducible IET over Q(sqrt(d)), a start point, and a block width."""
+    d = draw(st.sampled_from([2, 5, 1000003]))
+    n = draw(st.integers(2, 5))
+    sigma = Permutation(tuple(draw(st.permutations(range(1, n + 1)).filter(
+        lambda images: irreducible(Permutation(tuple(images)))))))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    lengths = []
+    for _ in range(n):
+        a = draw(st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9))
+        lengths.append(abs(quad(a, draw(coefficients), d)))
+    T = iet_new(sigma, lengths)
+    t = draw(st.fractions(min_value=0, max_value=Fraction(99, 100), max_denominator=100))
+    x = draw(st.sampled_from(T.beta[:-1]) | st.just(t * T.total))
+    width = (T.total - x) * draw(st.fractions(min_value=Fraction(1, 1000), max_value=1,
+                                              max_denominator=1000))
+    return T, x, width
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases(), st.integers(1, 30))
+def test_walk_matches_repeated_steps(case, steps):
+    T, x, _ = case
+    forward, backward = [], []
+    y = z = x
+    for _ in range(steps):
+        forward.append((T.interval_index(y), y))
+        y = T.apply(y)
+        backward.append((T.image_interval_index(z), z))
+        z = T.apply_inverse(z)
+    assert list(islice(T.walk(x), steps)) == forward
+    assert list(islice(T.walk(x, backward=True), steps)) == backward
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases(), st.booleans(), st.integers(1, 30))
+def test_block_walk_stops_exactly_at_a_crossing(case, backward, steps):
+    T, x, width = case
+    ends = T.beta_prime if backward else T.beta
+    step = T.apply_inverse if backward else T.apply
+    expected = []
+    y = x
+    crossing = False
+    for _ in range(steps):
+        expected.append(y)
+        if any(y < end < y + width for end in ends[1:]):
+            crossing = True
+            break
+        y = step(y)
+    walk = T.walk(x, width, backward=backward)
+    assert [y for _, y in islice(walk, len(expected))] == expected
+    if crossing:
+        with pytest.raises(ConsistencyViolation):
+            next(walk)
