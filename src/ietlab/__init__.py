@@ -60,7 +60,7 @@ from .induction import (
     shrink_sequence,
     whole_interval,
 )
-from .intmat import column_sums, det, identity, inverse, mat_mul, mat_vec, transpose
+from .intmat import column_sums, det, identity, inverse, mat_mul
 from .ktheory import (
     BratteliDiagram,
     BratteliLevel,

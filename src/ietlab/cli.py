@@ -8,8 +8,9 @@ output directory; numeric cells carry the exact text form next to a
 ``bratteli`` command additionally writes a DOT file and ``render`` writes
 one SVG per strip level.
 
-Exit codes: 0 success, 2 domain errors, 3 when a certificate comes back
-unknown, 4 config parse errors.
+Exit codes: 0 success, 2 domain errors, an unreadable config or an output
+that cannot be written, 3 when a certificate comes back unknown, 4 config
+parse errors.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ from .intmat import det
 from .render import render_strip_level
 
 APPROX_DIGITS = 12
-
-COMMANDS = (
-    "orbit", "idoc", "induce", "shrink", "cone", "measure", "certify",
-    "profile", "strips", "towers", "bratteli", "group", "lsigma", "render",
-)
 
 KNOWN_KEYS = (
     "d", "sigma", "alpha", "depth", "horizon", "epsilon", "max_steps",
@@ -434,6 +430,8 @@ _HANDLERS: dict[str, Callable[[ExperimentConfig, Path], tuple[list[Row], int]]] 
     "render": _cmd_render,
 }
 
+COMMANDS = tuple(_HANDLERS)
+
 
 def _write_csv(path: Path, rows: list[Row]) -> None:
     lines = [",".join(CSV_HEADER)] + [",".join(row) for row in rows]
@@ -451,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ietlab: cannot read config: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -459,6 +457,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = parse_config(text)
         out.mkdir(parents=True, exist_ok=True)
         rows, code = _HANDLERS[args.command](config, out)
+        if args.command != "render":
+            _write_csv(out / f"{args.command}.csv", rows)
     except ParseError as exc:
         print(f"ietlab: config error: {exc} (line {exc.line}, column {exc.column})",
               file=sys.stderr)
@@ -466,8 +466,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IetlabError as exc:
         print(f"ietlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.command != "render":
-        _write_csv(out / f"{args.command}.csv", rows)
+    except OSError as exc:
+        print(f"ietlab: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

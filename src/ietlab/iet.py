@@ -148,6 +148,16 @@ def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:
     return Iet(sigma, lengths, tuple(beta), tuple(beta_prime), tau)
 
 
+def tiles(pieces: Iterable[tuple[QuadReal, QuadReal]], start: QuadReal, end: QuadReal) -> bool:
+    """True iff the nonempty half-open pieces [left, right) cover [start, end) exactly once."""
+    edge = start
+    for left, right in sorted(pieces, key=lambda piece: piece[0]):
+        if left != edge:
+            return False
+        edge = right
+    return edge == end
+
+
 def orbit(T: Iet, x: QuadReal, k_from: int, k_to: int) -> tuple[QuadReal, ...]:
     """Exact points T^k(x) for k in [k_from, k_to]."""
     if k_from > k_to:

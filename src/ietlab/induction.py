@@ -9,7 +9,7 @@ from typing import Literal, Optional
 from .errors import (ConsistencyViolation, DegenerateAt, NotAdmissible,
                      OutOfDomain, ReturnTimeExceeded)
 from .exactnum import QuadReal, quad
-from .iet import Iet, OrbitPoint, Permutation, iet_new, orbit_point
+from .iet import Iet, OrbitPoint, Permutation, iet_new, orbit_point, tiles
 from .intmat import IntMatrix, column_sums, det, freeze
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -215,13 +215,8 @@ def _verify_step(step: InductionStep, landings: list[QuadReal]) -> None:
         kac = kac + step.return_times[j] * induced.alpha[j]
     if kac != T.total:
         raise ConsistencyViolation("Kac identity fails")
-    tiling = sorted(range(n), key=lambda j: landings[j])
-    edge = step.J.left
-    for j in tiling:
-        if landings[j] != edge:
-            raise ConsistencyViolation("return landings do not tile J")
-        edge = edge + induced.alpha[j]
-    if edge != step.J.right:
+    pieces = ((landings[j], landings[j] + induced.alpha[j]) for j in range(n))
+    if not tiles(pieces, step.J.left, step.J.right):
         raise ConsistencyViolation("return landings do not tile J")
 
 

@@ -16,20 +16,12 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     cols = range(len(b[0]))
     return tuple(
         tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in cols)
         for ra in a
     )
-
-
-def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def column_sums(m: Sequence[Sequence[int]]) -> tuple[int, ...]:

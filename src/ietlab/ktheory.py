@@ -19,7 +19,7 @@ from typing import Literal, Sequence
 
 from .errors import ConsistencyViolation, HorizonExceedsDepth, ReturnTimeExceeded
 from .exactnum import QuadReal, quad
-from .iet import Iet, Permutation
+from .iet import Iet, Permutation, tiles
 from .induction import DEFAULT_MAX_STEPS, AdmissibleInterval, InductionStep, induce
 from .intmat import IntMatrix, column_sums, det, freeze, identity, inverse, mat_mul
 from .measures import ConeApprox
@@ -74,22 +74,10 @@ def towers(T: Iet, Y: AdmissibleInterval, max_steps: int = DEFAULT_MAX_STEPS) ->
 
 
 def _check_tower_partition(T: Iet, Y: AdmissibleInterval, result: list[Tower]) -> None:
-    tops = sorted(t.floors[-1] for t in result)
-    edge = Y.left
-    for left, right in tops:
-        if left != edge:
-            raise ConsistencyViolation("tower tops do not tile the window")
-        edge = right
-    if edge != Y.right:
-        raise ConsistencyViolation("tower tops do not reach the window edge")
-    floors = sorted(f for t in result for f in t.floors)
-    edge = quad(0)
-    for left, right in floors:
-        if left != edge:
-            raise ConsistencyViolation("tower floors do not tile the interval")
-        edge = right
-    if edge != T.total:
-        raise ConsistencyViolation("tower floors do not reach the right edge")
+    if not tiles((t.floors[-1] for t in result), Y.left, Y.right):
+        raise ConsistencyViolation("tower tops do not tile the window")
+    if not tiles((f for t in result for f in t.floors), quad(0), T.total):
+        raise ConsistencyViolation("tower floors do not tile the interval")
     kac = sum((t.base_right - t.base_left) * t.height for t in result)
     if kac != T.total:
         raise ConsistencyViolation("return times fail the Kac identity")

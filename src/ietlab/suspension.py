@@ -16,6 +16,7 @@ an existing strip.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -28,7 +29,7 @@ from .errors import (
     ShapeViolation,
 )
 from .exactnum import QuadReal, quad
-from .iet import Iet, Permutation, idoc_check, irreducible
+from .iet import Iet, Permutation, idoc_check, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze
 
@@ -184,14 +185,6 @@ class Strip:
     def height(self) -> int:
         return len(self.floors)
 
-    @property
-    def bottom(self) -> Floor:
-        return self.floors[0]
-
-    @property
-    def top(self) -> Floor:
-        return self.floors[-1]
-
 
 @dataclass(frozen=True)
 class StripLevel:
@@ -212,144 +205,127 @@ class StripLevel:
     incidence_to_previous: IntMatrix | None
 
 
+# Markers keyed (delta, i), inserted in (i, delta) order.
+MarkerTable = dict[tuple[int, int], Marker]
+
+
 class _OrbitCache:
-    """Forward orbit of 0 with separation-point and injectivity guards."""
+    """Forward orbit of 0 as the walk indexes it, with separation-point and injectivity guards."""
 
     def __init__(self, T: Iet, max_steps: int) -> None:
         self.max_steps = max_steps
         self.orbit = islice(T.walk(quad(0)), max_steps + 1)
-        self.values: list[QuadReal] = []
+        self.points: list[tuple[int, QuadReal]] = []
         self.seen: set[QuadReal] = set()
         self.separation = set(T.beta[1:-1])
 
-    def value(self, k: int) -> QuadReal:
-        while len(self.values) <= k:
+    def point(self, k: int) -> tuple[int, QuadReal]:
+        """(i, T^k(0)) with T^k(0) in I(i)."""
+        while len(self.points) <= k:
             step = next(self.orbit, None)
             if step is None:
                 raise DepthExceeded(f"orbit of 0 longer than {self.max_steps} steps")
             x = step[1]
             if x in self.separation:
                 raise NotVerifiedIDOC(
-                    f"orbit of 0 hits a separation point at exponent {len(self.values)}"
+                    f"orbit of 0 hits a separation point at exponent {len(self.points)}"
                 )
             if x in self.seen:
-                raise NotVerifiedIDOC(f"orbit of 0 repeats at exponent {len(self.values)}")
+                raise NotVerifiedIDOC(f"orbit of 0 repeats at exponent {len(self.points)}")
             self.seen.add(x)
-            self.values.append(x)
-        return self.values[k]
+            self.points.append(step)
+        return self.points[k]
+
+    def value(self, k: int) -> QuadReal:
+        return self.point(k)[1]
 
 
-def _markers_for(T: Iet, cache: _OrbitCache, K: int) -> tuple[list[Marker], list[Marker]]:
+def _markers_for(T: Iet, cache: _OrbitCache, K: int) -> tuple[MarkerTable, MarkerTable]:
     n = T.n
     plain: dict[int, list[tuple[int, QuadReal]]] = {i: [] for i in range(1, n + 1)}
     primed: dict[int, list[tuple[int, QuadReal]]] = {i: [] for i in range(1, n + 1)}
     for k in range(1, K + 1):
-        x = cache.value(k)
-        plain[T.interval_index(x)].append((k, x))
+        i, x = cache.point(k)
+        plain[i].append((k, x))
     for k in range(2, K + 2):
         x = cache.value(k)
         primed[T.image_interval_index(x)].append((k, x))
-    markers: list[Marker] = []
-    primed_markers: list[Marker] = []
-    for source, out, is_primed in ((plain, markers, False), (primed, primed_markers, True)):
+    tables: list[MarkerTable] = []
+    for source, is_primed in ((plain, False), (primed, True)):
         for i in range(1, n + 1):
             if not source[i]:
                 raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
-        for i in range(1, n + 1):
-            k, x = max(source[i], key=lambda kx: kx[1])
-            out.append(Marker(0, i, k, x, is_primed))
-        for i in range(n):
-            k, x = min(source[i + 1], key=lambda kx: kx[1])
-            out.append(Marker(1, i, k, x, is_primed))
-        out.sort(key=lambda m: (m.i, m.delta))
-    return markers, primed_markers
-
-
-def _marker_map(markers: list[Marker]) -> dict[tuple[int, int], Marker]:
-    return {(m.delta, m.i): m for m in markers}
+        table: MarkerTable = {}
+        for i in range(n + 1):
+            # delta 0: the largest point of interval i; delta 1: the smallest of interval i + 1
+            for delta, extreme in ((0, max), (1, min)):
+                if i + delta in source:
+                    k, x = extreme(source[i + delta], key=lambda kx: kx[1])
+                    table[(delta, i)] = Marker(delta, i, k, x, is_primed)
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def _flow_strip(
     T: Iet,
     cache: _OrbitCache,
-    bottom: Floor,
+    bottom: tuple[QuadReal, QuadReal, int, int],
     spans: list[tuple[int, QuadReal, QuadReal]],
     max_steps: int,
 ) -> tuple[list[Floor], list[int]]:
-    """Flow a bottom floor forward until it lands inside a marked span."""
+    """Flow a bottom (left, right, exponents) forward until it lands inside a marked span."""
+    start, end, left_exponent, right_exponent = bottom
     floors: list[Floor] = []
     word: list[int] = []
-    width = bottom.right - bottom.left
-    for step, (i, left) in enumerate(islice(T.walk(bottom.left, width), max_steps)):
-        floor = bottom
-        if step:
-            floor = Floor(left, left + width, bottom.left_exponent + step,
-                          bottom.right_exponent + step,
-                          i if left + width <= T.beta[i] else None)
-            if not (floor.left == cache.value(floor.left_exponent)
-                    and floor.right == cache.value(floor.right_exponent)):
-                raise ConsistencyViolation("floor endpoints left the orbit of 0")
+    width = end - start
+    for step, (i, left) in enumerate(islice(T.walk(start, width), max_steps)):
+        right = left + width
+        floor = Floor(left, right, left_exponent + step, right_exponent + step,
+                      i if right <= T.beta[i] else None)
+        if step and not (left == cache.value(floor.left_exponent)
+                         and right == cache.value(floor.right_exponent)):
+            raise ConsistencyViolation("floor endpoints left the orbit of 0")
         floors.append(floor)
-        if any(lo <= floor.left and floor.right <= hi for _, lo, hi in spans):
+        if any(lo <= left and right <= hi for _, lo, hi in spans):
             return floors, word
         word.append(i)
     raise DepthExceeded(f"strip did not close within {max_steps} floors")
 
 
-def _containing_interval(T: Iet, left: QuadReal, right: QuadReal) -> int | None:
-    i = T.interval_index(left)
-    return i if right <= T.beta[i] else None
-
-
 def _level_strips(
     T: Iet,
     cache: _OrbitCache,
-    markers: list[Marker],
-    primed_markers: list[Marker],
+    plain: MarkerTable,
+    prime: MarkerTable,
     max_steps: int,
 ) -> list[Strip]:
     n = T.n
-    plain = _marker_map(markers)
-    prime = _marker_map(primed_markers)
     spans = [(j, plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
     j0 = T.sigma(1) - 1
     bottoms = [
-        Floor(quad(0), plain[(1, 0)].value, 0, plain[(1, 0)].exponent,
-              _containing_interval(T, quad(0), plain[(1, 0)].value)),
-        Floor(plain[(0, n)].value, T.total, plain[(0, n)].exponent, 0,
-              _containing_interval(T, plain[(0, n)].value, T.total)),
+        (quad(0), plain[(1, 0)].value, 0, plain[(1, 0)].exponent),
+        (plain[(0, n)].value, T.total, plain[(0, n)].exponent, 0),
     ]
     for j in range(1, n):
         if j == j0:
             continue
         left, right = prime[(0, j)], prime[(1, j)]
-        bottoms.append(Floor(left.value, right.value, left.exponent, right.exponent,
-                             _containing_interval(T, left.value, right.value)))
+        bottoms.append((left.value, right.value, left.exponent, right.exponent))
     if len(bottoms) != n:
         raise ConsistencyViolation(f"expected {n} strip bottoms, found {len(bottoms)}")
-    bottoms.sort(key=lambda f: f.left)
+    bottoms.sort(key=lambda bottom: bottom[0])
     strips = []
     for index, bottom in enumerate(bottoms, start=1):
         floors, word = _flow_strip(T, cache, bottom, spans, max_steps)
         strips.append(Strip(index=index, floors=tuple(floors), visit_word=tuple(word)))
-    _check_tiling(T, strips)
+    if not tiles(((f.left, f.right) for s in strips for f in s.floors), quad(0), T.total):
+        raise ConsistencyViolation("strip floors do not tile the interval")
     return strips
 
 
-def _check_tiling(T: Iet, strips: list[Strip]) -> None:
-    floors = sorted((f for s in strips for f in s.floors), key=lambda f: f.left)
-    edge = quad(0)
-    for floor in floors:
-        if floor.left != edge:
-            raise ConsistencyViolation("strip floors do not tile the interval")
-        edge = floor.right
-    if edge != T.total:
-        raise ConsistencyViolation("strip floors do not reach the right edge")
-
-
-def _check_marker_images(T: Iet, markers: list[Marker], primed_markers: list[Marker]) -> None:
-    images = {T.apply(m.value) for m in markers}
-    primed_values = {m.value for m in primed_markers}
+def _check_marker_images(T: Iet, plain: MarkerTable, prime: MarkerTable) -> None:
+    images = {T.apply(m.value) for m in plain.values()}
+    primed_values = {m.value for m in prime.values()}
     if images != primed_values:
         raise ConsistencyViolation("primed markers are not the T-images of the markers")
 
@@ -361,27 +337,25 @@ def _minimal_two_point_depth(T: Iet, cache: _OrbitCache, max_steps: int) -> int:
         k += 1
         if k > max_steps:
             raise DepthExceeded(f"no depth below {max_steps} covers every interval twice")
-        counts[T.interval_index(cache.value(k)) - 1] += 1
+        counts[cache.point(k)[0] - 1] += 1
     return k
 
 
 def _boundary_adjust(T: Iet, cache: _OrbitCache, k: int) -> int:
     """Bump the first-level depth once when T^k(0) lands in a boundary interval."""
-    i = T.interval_index(cache.value(k))
+    i = cache.point(k)[0]
     return k + 1 if T.sigma(i) in (1, T.n) else k
 
 
 def _next_depth(
     T: Iet,
     cache: _OrbitCache,
-    markers: list[Marker],
-    primed_markers: list[Marker],
+    plain: MarkerTable,
+    prime: MarkerTable,
     max_steps: int,
 ) -> tuple[int, int]:
     """Climb the orbit past the deepest primed span marker to the next landing."""
     n = T.n
-    plain = _marker_map(markers)
-    prime = _marker_map(primed_markers)
     start = max(prime[(d, i)].exponent for d in (0, 1) for i in range(1, n))
     left_col = plain[(1, 0)].value
     right_col = plain[(0, n)].value
@@ -413,7 +387,7 @@ def _incidence(previous: list[Strip], current: list[Strip]) -> IntMatrix:
     per_floor: dict[int, dict[int, int]] = {s.index: {} for s in current}
     for strip in current:
         for floor in strip.floors:
-            slot = _locate(lefts, floor.left)
+            slot = bisect_right(lefts, floor.left) - 1
             parent, parent_strip = old_floors[slot]
             if not (parent.left <= floor.left and floor.right <= parent.right):
                 raise ConsistencyViolation("new floor is not inside a single old floor")
@@ -435,17 +409,6 @@ def _incidence(previous: list[Strip], current: list[Strip]) -> IntMatrix:
                 raise ShapeViolation("new strip misses floors of an old strip it meets")
             raw[strip.index - 1][old_strip - 1] = counts.pop()
     return freeze(raw)
-
-
-def _locate(sorted_lefts: list[QuadReal], x: QuadReal) -> int:
-    lo, hi = 0, len(sorted_lefts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if sorted_lefts[mid] <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def _inherit_indices(raw: IntMatrix, current: list[Strip]) -> tuple[list[Strip], IntMatrix]:
@@ -508,8 +471,8 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
     cache = _OrbitCache(T, max_steps)
     out: list[StripLevel] = []
     raw = K = 0
-    markers: list[Marker] = []
-    primed: list[Marker] = []
+    markers: MarkerTable = {}
+    primed: MarkerTable = {}
     for level in range(1, levels + 1):
         if level == 1:
             raw = _minimal_two_point_depth(T, cache, max_steps)
@@ -533,8 +496,8 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
                 level=level,
                 raw_K=raw,
                 K=K,
-                markers=tuple(markers),
-                primed_markers=tuple(primed),
+                markers=tuple(markers.values()),
+                primed_markers=tuple(primed.values()),
                 strips=tuple(strips),
                 incidence_to_previous=incidence,
             )

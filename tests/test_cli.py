@@ -1,14 +1,20 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietlab import ParseError, parse_quad, quad, radical
 from ietlab.cli import COMMANDS, CSV_HEADER, MAX_RADICAND, ExperimentConfig, main, parse_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SQRT2_CFG = """\
 d = 2
@@ -220,6 +226,36 @@ def test_cli_rejects_radicand_above_bound(tmp_path, capsys):
     assert parse_config(f"d = {MAX_RADICAND}\n").d == MAX_RADICAND
 
 
+def _unreadable_config(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"d = 2\xff\n")
+    return str(path), tmp_path / "out"
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return write_cfg(tmp_path), tmp_path / "taken"
+
+
+def _csv_is_a_directory(tmp_path):
+    (tmp_path / "out" / "orbit.csv").mkdir(parents=True)
+    return write_cfg(tmp_path), tmp_path / "out"
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_unreadable_config, "cannot read config"),
+    (_out_is_a_file, "cannot write output"),
+    (_csv_is_a_directory, "cannot write output"),
+], ids=["config-not-utf8", "out-is-a-file", "csv-is-a-directory"])
+def test_cli_file_errors_exit_cleanly(tmp_path, setup, message):
+    cfg, out = setup(tmp_path)
+    result = subprocess.run([sys.executable, "-m", "ietlab.cli", "orbit", "--config", cfg,
+                             "--out", str(out)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
 
 def test_cli_shrink_fails_fast_on_periodic_data(tmp_path, capsys):
     # every orbit of a rational rotation is periodic, so no return search can succeed
@@ -277,8 +313,79 @@ levels = 3
 window_n = 1000
 """
 
+# A 4-interval map with a closed transversal, so the strip code sees n > 2.
+FOUR_CFG = """\
+d = 2
+sigma = 3 1 4 2
+alpha = -1/1+1/1r, 1/2, 2/1-1/1r, 1/3
+y0 = 1/10
+depth = 5
+levels = 4
+window_n = 300
+"""
+
 # Exit code and sha256 of every artifact and of stdout, per config and command.
 GOLDEN_DIGESTS = {
+    "four bratteli": (0, {
+        "bratteli.csv": "ca87c5498772761e3e343bcbeb863f258d26e19dacb2ae8048ba6eb44632794f",
+        "bratteli.dot": "fea43726fbf4951326623a1cb81ba68bf853cceeb81bd1d69f80c8dec3bbc954",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four certify": (0, {
+        "certify.csv": "0b5cee64d5d15cf23fde25561d600bc1c16e72b4972c7b8dd0782a3bb88f32e8",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four cone": (0, {
+        "cone.csv": "f707a84ced564a2f07e1eb574a48fc1ba76611a00f821e88ec4d0b92d3994563",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four group": (0, {
+        "group.csv": "bcfb96e6b5e5b1a4490ff64250fbf716a0faa6d7f6736a2c81c4b4eebf3253fd",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four idoc": (0, {
+        "idoc.csv": "35fc6c30beefc8179a499b8022618c9ae04fafa73e9705cce8adfa12594f2775",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four induce": (0, {
+        "induce.csv": "69ea607e5875a653c77e813ae9913a9d7b1c489b8ebb5134ec125bd985b36f67",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four lsigma": (0, {
+        "lsigma.csv": "a981e1b26ab9f095ed4c675ceaaeeb1bdbe70712abaff3fa5706ef2eee57d9f0",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four measure": (0, {
+        "measure.csv": "2460edafccf84e455e23065b4258962872efe08b2deb3b79f96619469fb87a3e",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four orbit": (0, {
+        "orbit.csv": "0d6d31162ca6cb39db4efcbe5805923eb523484c389fb7950bddfcdc339c5165",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four profile": (0, {
+        "profile.csv": "befb3dbc6b6a66f1731d4cf5392c5e1cbda65f0bdf53acbedfa412623f8c114d",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four render": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "strips_level1.svg": "048c02408cc71b016ea68971e4446311a9f5905cc3c132639e6278e76947d9d5",
+        "strips_level2.svg": "7a2c849a2a144b053e00d38ceddaa8c5c68656a93c1ebee21b5e94add29872ae",
+        "strips_level3.svg": "9b7083273e35b3a21c7b464a79c180f43ace0467b3099e576b5903e06316097f",
+        "strips_level4.svg": "3665b6684f56989ff620466ee4ac085e4a566cf7386b25ce5e1f3c911962ad95",
+    }),
+    "four shrink": (0, {
+        "shrink.csv": "34fd51cb4635cd4d2bb1f073dfab27573a36ccd7038819e1733aa90a46753941",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "four strips": (0, {
+        "stdout": "9204a1d50ca799cfef371f8b4dd01a19ef0de295a0b333f38316d8fc4f4f1dfb",
+        "strips.csv": "bf88e5104799591f26390aed52677257fae9a407ac42c63b43be241e45c7f2a4",
+    }),
+    "four towers": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "towers.csv": "c1c690d4c2bcdfd072cebbf4ea403b2565dd12be3ec0c3b0c7b85d0cd885a89f",
+    }),
     "golden bratteli": (0, {
         "bratteli.csv": "7446ef11e6042e7abdc1a9f0929e88d9edc19e2ab110bfd36975a193696964a6",
         "bratteli.dot": "ea0cd3ecb6cbdf01ccd0ad4c6c31efb73c6bec657b8dbf5df6d84a85a8d79214",
@@ -399,9 +506,9 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", ["sqrt2", "golden"])
+@pytest.mark.parametrize("name", ["sqrt2", "golden", "four"])
 def test_cli_artifacts_match_pinned_digests(tmp_path, name):
-    cfg = write_cfg(tmp_path, {"sqrt2": SQRT2_CFG, "golden": GOLDEN_CFG}[name])
+    cfg = write_cfg(tmp_path, {"sqrt2": SQRT2_CFG, "golden": GOLDEN_CFG, "four": FOUR_CFG}[name])
     for command in COMMANDS:
         out = tmp_path / command
         printed = io.StringIO()

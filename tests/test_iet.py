@@ -19,6 +19,7 @@ from ietlab import (
     quad,
     radical,
 )
+from ietlab.iet import tiles
 from helpers import FloatIet, random_irreducible, to_mp
 
 
@@ -107,6 +108,20 @@ def test_interval_index(sqrt2_iet):
         T.interval_index(quad(1))
     with pytest.raises(OutOfDomain):
         T.apply(quad(-1, 0, 0))
+
+
+R = radical(2) - 1  # a cut point strictly inside [0, 1)
+
+
+@pytest.mark.parametrize("pieces, expected", [
+    ([(R, quad(1)), (quad(0), R)], True),  # exact cover, given out of order
+    ([(quad(0), R / 2), (R, quad(1))], False),  # gap [R/2, R)
+    ([(quad(0), R), (R / 2, quad(1))], False),  # overlap [R/2, R)
+    ([(quad(0), R)], False),  # stops short of 1
+    ([], False),
+], ids=["exact", "gap", "overlap", "short", "none"])
+def test_tiles(pieces, expected):
+    assert tiles(pieces, quad(0), quad(1)) is expected
 
 
 def test_iterate_matches_repeated_apply(sqrt2_iet):

@@ -145,6 +145,17 @@ def test_consecutive_floors_are_images(sqrt2_iet):
             assert floor.interval == i
 
 
+def test_floor_interval_is_the_interval_containing_it(sqrt2_iet):
+    four = iet_new(permutation(3, 1, 4, 2), [radical(2) - 1, quad(Fraction(1, 2)),
+                                             2 - radical(2), quad(Fraction(1, 3))])
+    for T in (sqrt2_iet, four):
+        for level in strip_decomposition(T, 4):
+            for floor in (floor for strip in level.strips for floor in strip.floors):
+                containing = [i for i in range(1, T.n + 1)
+                              if T.beta[i - 1] <= floor.left and floor.right <= T.beta[i]]
+                assert floor.interval == (containing[0] if containing else None)
+
+
 def test_incidence_is_identity_plus_unit(sqrt2_iet):
     for level in strip_decomposition(sqrt2_iet, 4)[1:]:
         M = level.incidence_to_previous
