@@ -16,7 +16,7 @@ print("x = sqrt(2) - 1 =", x, "~", quad_approx(x, 15))
 print("\nField arithmetic stays exact:")
 print("  x * (1/x)     =", x * (1 / x))
 print("  x + (2 - r2)  =", x + (2 - r2))
-print("  x**2          =", x**2, "(= 3 - 2 sqrt(2))")
+print("  x * x         =", x * x, "(= 3 - 2 sqrt(2))")
 
 print("\nRadicands are normalized square-free:")
 y = quad(Fraction(1, 2), Fraction(1, 3), 8)

@@ -176,12 +176,8 @@ def _make_sigma(config: ExperimentConfig) -> Permutation:
 Row = tuple[str, str, str, str, str, str]
 
 
-def _q(x: QuadReal) -> tuple[str, str]:
+def _q(x: QuadReal | Fraction) -> tuple[str, str]:
     return format_quad(x), quad_approx(x, APPROX_DIGITS)
-
-
-def _fr(x: Fraction) -> tuple[str, str]:
-    return _q(quad(x))
 
 
 def _row(kind: str, k: object = "", i: object = "", j: object = "",
@@ -271,7 +267,7 @@ def _cmd_cone(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     rows = [_int_row("depth", cone.depth), _int_row("nu_estimate", cone.nu_estimate)]
     rows += _matrix_rows("product_entry", cone.product)
     for r, ray in enumerate(cone.rays):
-        rows += [_row("ray_entry", "", r + 1, c + 1, _fr(value)) for c, value in enumerate(ray)]
+        rows += [_row("ray_entry", "", r + 1, c + 1, _q(value)) for c, value in enumerate(ray)]
     for c, members in enumerate(cone.clusters):
         rows += [_int_row("cluster_member", member + 1, i=c + 1) for member in members]
     return rows, 0
@@ -280,8 +276,8 @@ def _cmd_cone(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 def _cmd_measure(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     T = _make_iet(config)
     vector = measures.empirical_measure(T, config.y0, config.window_m, config.window_n)
-    rows = [_row("raw", "", i + 1, "", _fr(value)) for i, value in enumerate(vector.raw)]
-    rows += [_row("normalized", "", i + 1, "", _fr(value))
+    rows = [_row("raw", "", i + 1, "", _q(value)) for i, value in enumerate(vector.raw)]
+    rows += [_row("normalized", "", i + 1, "", _q(value))
              for i, value in enumerate(vector.normalized)]
     return rows, 0
 

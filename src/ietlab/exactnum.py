@@ -133,17 +133,6 @@ class QuadReal:
     def __abs__(self) -> "QuadReal":
         return -self if quad_sign(self) < 0 else self
 
-    def __pow__(self, k: int) -> "QuadReal":
-        if k < 0:
-            return 1 / self ** (-k)
-        out, base = quad(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -229,8 +218,6 @@ def quad(a: RationalLike | Fraction = 0, b: RationalLike | Fraction = 0,
         return QuadReal(a, Fraction(0), 0)
     m, s = _square_free(d)
     b *= s
-    if m == 0:
-        return QuadReal(a, Fraction(0), 0)
     if m == 1:
         return QuadReal(a + b, Fraction(0), 0)
     return QuadReal(a, b, m)
@@ -246,42 +233,53 @@ def quad_sign(x: QuadReal) -> int:
     return _sign(x.a, x.b, x.d)
 
 
-def quad_floor(x: QuadReal) -> int:
-    """Largest integer n with n <= x."""
-    if x.b == 0:
-        return x.a.numerator // x.a.denominator
-    den = lcm(x.a.denominator, x.b.denominator)
-    p = x.a.numerator * (den // x.a.denominator)
-    q = x.b.numerator * (den // x.b.denominator)
+def _floor_times(x: QuadReal, m: int) -> int:
+    """floor(m * x) for an integer m >= 1; see :func:`quad_floor`."""
+    a, b = x.a, x.b
+    if not b:
+        return a.numerator * m // a.denominator
+    den = lcm(a.denominator, b.denominator)
+    p = a.numerator * (den // a.denominator) * m
+    q = b.numerator * (den // b.denominator) * m
     r = isqrt(q * q * x.d)
-    s = r if q >= 0 else -r - 1
-    n = (p + s) // den
-    while quad_sign(x - (n + 1)) >= 0:
-        n += 1
-    return n
+    return (p + (r if q > 0 else -r - 1)) // den
 
 
-def quad_approx(x: QuadReal, digits: int) -> str:
-    """Correctly rounded decimal string with the given fractional digits.
+def quad_floor(x: QuadReal) -> int:
+    """Largest integer n with n <= x, in integer arithmetic only.
 
-    Exact ties round half to even.  Display-only; never feed the result back
-    into exact logic.
+    Write x = (p + q*sqrt(d))/D over a common denominator D.  For q != 0,
+    q*sqrt(d) is irrational because d > 1 is square-free, so its floor is
+    isqrt(q*q*d) for q > 0 and -isqrt(q*q*d) - 1 for q < 0, and the floor
+    of x is (p + that floor) // D with no correction step.
+    """
+    return _floor_times(x, 1)
+
+
+def quad_approx(x: "QuadReal | RationalLike", digits: int) -> str:
+    """Correctly rounded decimal string of a QuadReal, int or Fraction.
+
+    Exact ties (only rationals have them) round half to even; zero has no
+    sign.  Display-only; never feed the result back into exact logic.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    x = _as_quad(x)
     scale = 10 ** digits
-    n = quad_floor(x * scale)
-    rem2 = (x * scale - n) * 2
-    cmp_half = quad_sign(rem2 - 1)
-    if cmp_half > 0 or (cmp_half == 0 and n % 2 != 0):
-        n += 1
+    if x.b:
+        n = (_floor_times(x, 2 * scale) + 1) // 2
+    else:
+        n, rem = divmod(x.a.numerator * scale, x.a.denominator)
+        if 2 * rem > x.a.denominator or (2 * rem == x.a.denominator and n % 2):
+            n += 1
     sign = "-" if n < 0 else ""
     ip, fp = divmod(abs(n), scale)
     return f"{sign}{ip}.{fp:0{digits}d}"
 
 
-def format_quad(x: QuadReal) -> str:
+def format_quad(x: "QuadReal | RationalLike") -> str:
     """Canonical text form `p/q` or `p/q+r/sr` (r denotes sqrt(d))."""
+    x = _as_quad(x)
     rat = f"{x.a.numerator}/{x.a.denominator}"
     if x.b == 0:
         return rat
@@ -290,14 +288,18 @@ def format_quad(x: QuadReal) -> str:
     return f"{rat}{sign}{mag.numerator}/{mag.denominator}r"
 
 
+# A digit run is split only before a radical term with no separator, and then
+# before its last digit ("12r" is 1 + 2r); with no other split and no two
+# whitespace quantifiers competing, matching is linear in the text length.
 _QUAD_RE = re.compile(
-    r"""^\s*
-        (?P<rat>[+-]?\d+(?:\s*/\s*\d+)?)?
-        \s*
-        (?:(?P<sign>[+-])?\s*(?P<coef>\d+(?:\s*/\s*\d+)?)\s*r)?
+    r"""^\s*(?!\s)
+        (?P<rat>[+-]?\d+(?=\d?(?!\d))(?:\s*/\s*\d+(?=\d?(?!\d)))?)?
+        (?:\s*(?:(?P<sign>[+-])\s*)?(?P<coef>\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)\s*r)?
         \s*$""",
     re.VERBOSE,
 )
+# Longest digit run a literal may hold; it is also the default limit of int().
+_MAX_DIGITS = 4300
 
 
 def parse_quad(text: str, d: int = 0) -> QuadReal:
@@ -306,14 +308,17 @@ def parse_quad(text: str, d: int = 0) -> QuadReal:
     if not m or (m.group("rat") is None and m.group("coef") is None):
         raise ParseError(f"not a quadratic number: {text!r}")
 
+    def _int(tok: str) -> int:
+        if len(tok.strip().lstrip("+-")) > _MAX_DIGITS:
+            raise ParseError(f"integer of more than {_MAX_DIGITS} digits")
+        return int(tok)
+
     def _frac(tok: str) -> Fraction:
-        tok = tok.replace(" ", "")
-        if "/" in tok:
-            num, den = tok.split("/")
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
+        num, _, den = tok.partition("/")
+        den = _int(den) if den else 1
+        if den == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        return Fraction(_int(num), den)
 
     a = _frac(m.group("rat")) if m.group("rat") else Fraction(0)
     b = Fraction(0)

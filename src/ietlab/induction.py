@@ -30,10 +30,6 @@ class AdmissibleInterval:
     def right(self) -> QuadReal:
         return self.b.value
 
-    @property
-    def length(self) -> QuadReal:
-        return self.b.value - self.a.value
-
 
 def whole_interval(T: Iet) -> AdmissibleInterval:
     """[0, beta(n)), admissible by convention."""

@@ -43,19 +43,19 @@ MAX_ORBIT_LABELS = 24
 _COORD_DIGITS = 2
 
 
-def _px(T: Iet, x: QuadReal) -> str:
-    return quad_approx(quad(MARGIN) + x / T.total * SQUARE, _COORD_DIGITS)
+def _px(unit: QuadReal, x: QuadReal) -> str:
+    return quad_approx(MARGIN + x * unit, _COORD_DIGITS)
 
 
 def _py(y: Fraction) -> str:
-    return quad_approx(quad(Fraction(MARGIN) + y), _COORD_DIGITS)
+    return quad_approx(MARGIN + y, _COORD_DIGITS)
 
 
 def render_strip_level(T: Iet, level: StripLevel) -> str:
     """Draw one strip level as a standalone SVG document."""
     side = SQUARE + 2 * MARGIN
-    top = Fraction(0)
-    bottom = Fraction(SQUARE)
+    unit = SQUARE / T.total  # drawing units per unit of length
+    top, bottom = 0, SQUARE
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}"'
         f' viewBox="0 0 {side} {side}" font-family="monospace" font-size="{FONT_SIZE}">',
@@ -65,51 +65,51 @@ def render_strip_level(T: Iet, level: StripLevel) -> str:
     markers = {(m.delta, m.i): m.value for m in level.markers}
     left_col = markers[(1, 0)]
     right_col = markers[(0, T.n)]
-    lines.append(_rect(T, quad(0), left_col, top, bottom, COLUMN_FILL))
-    lines.append(_rect(T, right_col, T.total, top, bottom, COLUMN_FILL))
+    lines.append(_rect(unit, quad(0), left_col, top, bottom, COLUMN_FILL))
+    lines.append(_rect(unit, right_col, T.total, top, bottom, COLUMN_FILL))
     box_height = Fraction(SQUARE, 2 ** (level.level + 1))
     for j in range(1, T.n):
-        lines.append(_rect(T, markers[(0, j)], markers[(1, j)], top, box_height, SPAN_FILL))
+        lines.append(_rect(unit, markers[(0, j)], markers[(1, j)], top, box_height, SPAN_FILL))
     for strip in level.strips:
         band = Fraction(SQUARE, strip.height)
         for position, floor in enumerate(strip.floors):
             y_top = bottom - (position + 1) * band
             lines.append(
-                f'<rect x="{_px(T, floor.left)}" y="{_py(y_top)}"'
-                f' width="{_width(T, floor.left, floor.right)}" height="{_length(band)}"'
+                f'<rect x="{_px(unit, floor.left)}" y="{_py(y_top)}"'
+                f' width="{_width(unit, floor.left, floor.right)}" height="{_length(band)}"'
                 f' fill="none" stroke="gray" stroke-dasharray="{DASH}"/>'
             )
             center = (floor.left + floor.right) / 2
             lines.append(
-                f'<text x="{_px(T, center)}" y="{_py(y_top + band / 2)}"'
+                f'<text x="{_px(unit, center)}" y="{_py(y_top + band / 2)}"'
                 f' text-anchor="middle">{strip.index}</text>'
             )
     for i in range(1, T.n):
-        x = _px(T, T.beta[i])
+        x = _px(unit, T.beta[i])
         lines.append(f'<line x1="{x}" y1="{_py(bottom)}" x2="{x}" y2="{_py(bottom - 8)}" stroke="black"/>')
         lines.append(f'<text x="{x}" y="{_py(bottom + 14)}" text-anchor="middle">b{i}</text>')
-        xp = _px(T, T.beta_prime[i])
+        xp = _px(unit, T.beta_prime[i])
         lines.append(f'<line x1="{xp}" y1="{_py(top)}" x2="{xp}" y2="{_py(top + 8)}" stroke="black"/>')
         lines.append(f'<text x="{xp}" y="{_py(top - 6)}" text-anchor="middle">b\'{i}</text>')
     if level.K <= MAX_ORBIT_LABELS:
         for k, (_, x) in enumerate(islice(T.walk(quad(0)), 1, level.K + 1), start=1):
             lines.append(
-                f'<text x="{_px(T, x)}" y="{_py(bottom + 26)}" text-anchor="middle">T{k}</text>'
+                f'<text x="{_px(unit, x)}" y="{_py(bottom + 26)}" text-anchor="middle">T{k}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _rect(T: Iet, left: QuadReal, right: QuadReal, y_top: Fraction, height: Fraction, fill: str) -> str:
+def _rect(unit: QuadReal, left: QuadReal, right: QuadReal, y_top: Fraction, height: Fraction, fill: str) -> str:
     return (
-        f'<rect x="{_px(T, left)}" y="{_py(y_top)}" width="{_width(T, left, right)}"'
+        f'<rect x="{_px(unit, left)}" y="{_py(y_top)}" width="{_width(unit, left, right)}"'
         f' height="{_length(height)}" fill="{fill}"/>'
     )
 
 
-def _width(T: Iet, left: QuadReal, right: QuadReal) -> str:
-    return quad_approx((right - left) / T.total * SQUARE, _COORD_DIGITS)
+def _width(unit: QuadReal, left: QuadReal, right: QuadReal) -> str:
+    return quad_approx((right - left) * unit, _COORD_DIGITS)
 
 
 def _length(value: Fraction) -> str:
-    return quad_approx(quad(value), _COORD_DIGITS)
+    return quad_approx(value, _COORD_DIGITS)

@@ -226,6 +226,16 @@ def test_cli_rejects_radicand_above_bound(tmp_path, capsys):
     assert parse_config(f"d = {MAX_RADICAND}\n").d == MAX_RADICAND
 
 
+@pytest.mark.parametrize("text, position", [
+    ("sigma = 2 1\nd = 2\nalpha = " + "1" * 5000 + ", 1\n", "(line 3, column 9)"),
+    ("sigma = 2 1\nd = 2\nalpha = 1r, 1\ny0 = 1/" + "7" * 5000 + "\n", "(line 4, column 6)"),
+    ("sigma = 2 1\nd = 2\nalpha = 1" + " " * 4000 + "x, 1\n", "(line 3, column 9)"),
+], ids=["long-integer", "long-denominator", "whitespace-run"])
+def test_cli_long_literals_exit_cleanly(tmp_path, capsys, text, position):
+    assert run("orbit", write_cfg(tmp_path, text), tmp_path / "out") == 4
+    assert position in capsys.readouterr().err
+
+
 def _unreadable_config(tmp_path):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(b"d = 2\xff\n")
@@ -267,7 +277,8 @@ def test_cli_shrink_fails_fast_on_periodic_data(tmp_path, capsys):
 
 
 fuzz_numbers = st.one_of(
-    st.sampled_from(["1", "1/2", "1r", "1/2+1/3r", "3-1r", "-1/4", "0", "x", "1/0"]),
+    st.sampled_from(["1", "1/2", "1r", "1/2+1/3r", "3-1r", "-1/4", "0", "x", "1/0",
+                     "1" * 5000, "1/" + "7" * 5000, "1" + " " * 4000 + "x"]),
     st.builds(lambda p, q, r: f"{p}/{q}+{r}/{q}r", st.integers(-1, 9), st.integers(1, 9),
               st.integers(-1, 3)),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 9), st.integers(1, 9)),
@@ -322,6 +333,15 @@ y0 = 1/10
 depth = 5
 levels = 4
 window_n = 300
+"""
+
+# Total length 1+sqrt(2): the only pinned drawing whose scale is irrational.
+SILVER_CFG = """\
+d = 2
+sigma = 2 1
+alpha = 0/1+1/1r, 1
+depth = 5
+levels = 3
 """
 
 # Exit code and sha256 of every artifact and of stdout, per config and command.
@@ -445,6 +465,65 @@ GOLDEN_DIGESTS = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "towers.csv": "c45462d04e6030590db52643c57f4610b8f05ac8f6446b883065c4e54ba5843d",
     }),
+    "silver bratteli": (0, {
+        "bratteli.csv": "e03a46251f8c5e476d88398ed94b6d00d2f0ea318f995971379e2b373ca2bce7",
+        "bratteli.dot": "a21115ef57e044f80e0fa70849ac343fae5efaf6647735a17d7b73c1b08c2d52",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver certify": (0, {
+        "certify.csv": "35bc4e8a7cc9aa645e6866ec8caa691ba148d372cdc6f82a3d3d2241cc546fad",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver cone": (0, {
+        "cone.csv": "0d8ac3423503075facc287cdb0c40a44c1f98304a077db1f2f83df81e22e04ff",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver group": (0, {
+        "group.csv": "6d4e8408fce968f1143738136f8ecee28546b92da66369e208bdf23219d54cff",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver idoc": (0, {
+        "idoc.csv": "35fc6c30beefc8179a499b8022618c9ae04fafa73e9705cce8adfa12594f2775",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver induce": (0, {
+        "induce.csv": "5e92fa721a918e99d011095e59407648a961606072f782d32fb841badc5f890b",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver lsigma": (0, {
+        "lsigma.csv": "f3ebec37642de77b1a595e4989791a043f3e0de62c105fe4036c4ccaa23f1fbb",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver measure": (0, {
+        "measure.csv": "56e5c669e0f60bf5f2dc506367745fdd0a51d08a75373f2f352dd3825e3abb33",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver orbit": (0, {
+        "orbit.csv": "be3b67214fd5b1a2b96b2c918c206b2acc487caab196416e64bbff76c5a64a50",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver profile": (0, {
+        "profile.csv": "5d45c78816a063df35f27bb455dbb8350adac58696534a00303b197046ee7e52",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver render": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "strips_level1.svg": "ea7ccc3faf4f317bea77f1349a8cd1e42fa60f8374d7f68b86bcac196f101f48",
+        "strips_level2.svg": "6212125227a66df3ab7a1a836cc4570649a48366063cb118cce126942afa234d",
+        "strips_level3.svg": "d3ad6f9b2e6c648790f0ab3fd1a9b87f649690e06ade597f9c0f41f4fe9bea29",
+    }),
+    "silver shrink": (0, {
+        "shrink.csv": "8c0a14b17154cbe2996be65da145c02823862e23940d6cd787de4e7b34cd0a34",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "silver strips": (0, {
+        "stdout": "73a9f399bc41c4de501317373bcc31adc7f28e23e8f78c9cffbeac1ab902fbaa",
+        "strips.csv": "014aa85d1bfa51dae37b63b128752ea7c0d2a6ff25cff16180e10cc9062eebd3",
+    }),
+    "silver towers": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "towers.csv": "9fe0b913ed06d274586ca2d7348a80cc9a2cd5a97e31968546eb5a60589b2979",
+    }),
     "sqrt2 bratteli": (0, {
         "bratteli.csv": "827a09fdfb89f2fbc2411293f46ab32ea9a39360c3a7809b4a1fbc24dea9c7b3",
         "bratteli.dot": "c52c3bb8ca9c7a0652f7cd368f12993a839ecf691c01878b53d54b94e2c778c6",
@@ -506,9 +585,10 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", ["sqrt2", "golden", "four"])
+@pytest.mark.parametrize("name", ["sqrt2", "golden", "four", "silver"])
 def test_cli_artifacts_match_pinned_digests(tmp_path, name):
-    cfg = write_cfg(tmp_path, {"sqrt2": SQRT2_CFG, "golden": GOLDEN_CFG, "four": FOUR_CFG}[name])
+    cfg = write_cfg(tmp_path, {"sqrt2": SQRT2_CFG, "golden": GOLDEN_CFG, "four": FOUR_CFG,
+                               "silver": SILVER_CFG}[name])
     for command in COMMANDS:
         out = tmp_path / command
         printed = io.StringIO()

@@ -1,9 +1,10 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ietlab import (
     MixedRadicand,
@@ -17,7 +18,7 @@ from ietlab import (
     quad_sign,
     radical,
 )
-from ietlab.exactnum import _square_free
+from ietlab.exactnum import _QUAD_RE, _square_free
 from helpers import to_mp
 
 small_fractions = st.fractions(
@@ -27,6 +28,12 @@ small_fractions = st.fractions(
 
 def quads(d):
     return st.builds(lambda a, b: quad(a, b, d), small_fractions, small_fractions)
+
+
+# Radicands for the differential tests: 8 and 12 are not square-free, and
+# 1000003 is a 7-digit prime.
+RADICANDS = (2, 5, 8, 12, 1000003)
+any_field_quads = st.sampled_from(RADICANDS).flatmap(quads)
 
 
 def test_normal_form():
@@ -85,7 +92,7 @@ def test_order_matches_mpmath(x, y):
         assert (x < y) == (to_mp(x) < to_mp(y))
 
 
-@given(quads(2))
+@given(any_field_quads)
 def test_floor_matches_mpmath(x):
     assert quad_floor(x) == int(mpmath.floor(to_mp(x)))
 
@@ -102,9 +109,29 @@ def test_approx_rounds_ties_to_even():
     assert quad_approx(quad(Fraction(3, 8)), 2) == "0.38"
     assert quad_approx(quad(Fraction(-1, 8)), 2) == "-0.12"
     assert quad_approx(radical(2), 10) == "1.4142135624"
+    # plain ints and Fractions are accepted; nothing that rounds to zero prints a sign
+    assert quad_approx(Fraction(-5, 1000), 2) == "0.00"
+    assert quad_approx(Fraction(-15, 1000), 2) == "-0.02"
+    assert quad_approx(-3, 1) == "-3.0"
+    assert quad_approx(radical(2) - Fraction(14142, 10000), 2) == "0.00"
+    assert quad_approx(Fraction(14142, 10000) - radical(2), 2) == "0.00"
 
 
-@given(quads(2), st.integers(min_value=1, max_value=25))
+# Values with a tie at 1 to 4 fractional digits, of either sign.
+decimal_ties = st.builds(lambda n, k: Fraction(2 * n + 1, 2 * 10 ** k),
+                         st.integers(-500, 500), st.integers(1, 4))
+
+
+@given(st.one_of(small_fractions, decimal_ties, st.integers(-99, 99)),
+       st.integers(min_value=1, max_value=6))
+def test_approx_of_rationals_rounds_half_to_even(f, digits):
+    printed = quad_approx(f, digits)
+    assert Fraction(printed) == round(Fraction(f), digits)  # Fraction rounds half to even
+    if Fraction(printed) == 0:
+        assert printed == "0." + "0" * digits
+
+
+@given(any_field_quads, st.integers(min_value=1, max_value=25))
 def test_approx_within_half_ulp(x, digits):
     target = to_mp(x)
     printed = mpmath.mpf(quad_approx(x, digits))
@@ -131,6 +158,50 @@ def test_parse_errors():
         parse_quad("oops", 2)
     with pytest.raises(ParseError):
         parse_quad("", 2)
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_quad("1" * 5000, 2)
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_quad("1/" + "7" * 5000, 2)
+    assert parse_quad("-" + "1" * 4300) == quad(-int("1" * 4300))
+    with pytest.raises(ParseError):
+        parse_quad("1" + " " * 4000 + "x", 2)
+
+
+# The pattern parse_quad matched with before its matching was made linear in
+# the length of the text; it is kept as the reference for what parses and how.
+BACKTRACKING_QUAD_RE = re.compile(
+    r"""^\s*
+        (?P<rat>[+-]?\d+(?:\s*/\s*\d+)?)?
+        \s*
+        (?:(?P<sign>[+-])?\s*(?P<coef>\d+(?:\s*/\s*\d+)?)\s*r)?
+        \s*$""",
+    re.VERBOSE,
+)
+
+
+def _reference_fraction(token):
+    num, _, den = token.replace(" ", "").partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=" 0123456789/+-rx", max_size=14))
+def test_parse_pattern_matches_backtracking_reference(text):
+    old, new = BACKTRACKING_QUAD_RE.match(text), _QUAD_RE.match(text)
+    assert (old is None) == (new is None)
+    if old is None or (old["rat"] is None and old["coef"] is None):
+        with pytest.raises(ParseError):
+            parse_quad(text, 2)
+        return
+    assert new.group("rat", "sign", "coef") == old.group("rat", "sign", "coef")
+    try:
+        a = _reference_fraction(old["rat"]) if old["rat"] else 0
+        b = _reference_fraction(old["coef"]) if old["coef"] else 0
+    except ZeroDivisionError:
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_quad(text, 2)
+        return
+    assert parse_quad(text, 2) == quad(a, -b if old["sign"] == "-" else b, 2)
 
 
 def test_text_round_trip_survives_decimal():
@@ -153,11 +224,6 @@ def test_comparison_with_ints_and_fractions():
 def test_quadreal_is_immutable():
     with pytest.raises(Exception):
         radical(2).a = Fraction(0)
-
-
-# Radicands for the differential tests: 8 and 12 are not square-free, and
-# 1000003 is a 7-digit prime.
-RADICANDS = (2, 5, 8, 12, 1000003)
 
 
 @st.composite
