@@ -60,7 +60,7 @@ from .induction import (
     shrink_sequence,
     whole_interval,
 )
-from .intmat import column_sums, det, identity, inverse, mat_mul
+from .intmat import column_sums, det, identity, mat_mul
 from .ktheory import (
     BratteliDiagram,
     BratteliLevel,
@@ -87,7 +87,6 @@ from .measures import (
     MeasureVector,
     cone_approx,
     empirical_measure,
-    nesting_holds,
     unique_ergodicity_certificate,
 )
 from .render import render_strip_level
@@ -100,7 +99,6 @@ from .suspension import (
     StripLevel,
     singularity_profile,
     strip_decomposition,
-    strip_dimension_group_feed,
 )
 
 __version__ = "0.1.0"

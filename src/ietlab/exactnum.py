@@ -300,13 +300,19 @@ _QUAD_RE = re.compile(
 )
 # Longest digit run a literal may hold; it is also the default limit of int().
 _MAX_DIGITS = 4300
+# Longest prefix of a value that an error message quotes.
+_MAX_QUOTED = 40
+
+
+def _quoted(text: str) -> str:
+    return repr(text) if len(text) <= _MAX_QUOTED else repr(text[:_MAX_QUOTED]) + "..."
 
 
 def parse_quad(text: str, d: int = 0) -> QuadReal:
     """Parse the text form of a quadratic number; d comes from context."""
     m = _QUAD_RE.match(text)
     if not m or (m.group("rat") is None and m.group("coef") is None):
-        raise ParseError(f"not a quadratic number: {text!r}")
+        raise ParseError(f"not a quadratic number: {_quoted(text)}")
 
     def _int(tok: str) -> int:
         if len(tok.strip().lstrip("+-")) > _MAX_DIGITS:
@@ -317,14 +323,14 @@ def parse_quad(text: str, d: int = 0) -> QuadReal:
         num, _, den = tok.partition("/")
         den = _int(den) if den else 1
         if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
+            raise ParseError(f"zero denominator in {_quoted(text)}")
         return Fraction(_int(num), den)
 
     a = _frac(m.group("rat")) if m.group("rat") else Fraction(0)
     b = Fraction(0)
     if m.group("coef"):
         if d == 0:
-            raise ParseError(f"radical term in {text!r} but d is 0")
+            raise ParseError(f"radical term in {_quoted(text)} but d is 0")
         b = _frac(m.group("coef"))
         if m.group("sign") == "-":
             b = -b

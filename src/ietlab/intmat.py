@@ -1,8 +1,7 @@
-"""Small exact helpers for integer and rational matrices."""
+"""Small exact helpers for integer matrices."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -50,21 +49,8 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse over the rationals; raises ValueError when singular."""
+def identity_plus_unit(m: Sequence[Sequence[int]]) -> bool:
+    """Whether m is the identity with exactly one off-diagonal entry equal to 1."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
+    off = [m[i][j] for i in range(n) for j in range(n) if i != j]
+    return all(m[i][i] == 1 for i in range(n)) and sum(off) == 1 and min(off) >= 0

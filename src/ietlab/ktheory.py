@@ -17,13 +17,13 @@ from fractions import Fraction
 from itertools import islice
 from typing import Literal, Sequence
 
-from .errors import ConsistencyViolation, HorizonExceedsDepth, ReturnTimeExceeded
+from .errors import ConsistencyViolation, HorizonExceedsDepth, ReturnTimeExceeded, ShapeViolation
 from .exactnum import QuadReal, quad
 from .iet import Iet, Permutation, tiles
 from .induction import DEFAULT_MAX_STEPS, AdmissibleInterval, InductionStep, induce
-from .intmat import IntMatrix, column_sums, det, freeze, identity, inverse, mat_mul
+from .intmat import IntMatrix, column_sums, det, freeze, identity_plus_unit
 from .measures import ConeApprox
-from .suspension import StripLevel, strip_dimension_group_feed
+from .suspension import StripLevel
 
 PositivityVerdict = Literal["zero", "positive", "nonpositive_witness", "unknown"]
 ConeVerdict = Literal["consistent_positive", "consistent_negative", "boundary"]
@@ -168,7 +168,8 @@ class DimensionGroup:
     ``matrices[j]`` connects level j to level j + 1.  For an induction
     source, level-j coordinates are taken in the tower-base generators and
     push forward through the transpose; for a strip source they are taken
-    in the one-floor generators and push forward through the matrix itself.
+    in the one-floor generators and push forward through the matrix itself,
+    the strip levels' identity-plus-one-unit incidence matrices.
     """
 
     n: int
@@ -202,18 +203,25 @@ def dimension_group(
         assert strips is not None
         if not strips:
             raise ValueError("strips must be nonempty")
-        matrices = strip_dimension_group_feed(tuple(strips))
+        matrices = tuple(level.incidence_to_previous for level in strips[1:])
+        for level, matrix in zip(strips[1:], matrices):
+            if matrix is None or not identity_plus_unit(matrix):
+                raise ShapeViolation(f"level {level.level} incidence is not identity plus one unit")
         n = len(strips[0].strips)
         source = "strip_chain"
     return DimensionGroup(n=n, matrices=matrices, depth=len(matrices), source=source)
 
 
+def _row_times(vector: Sequence[int], matrix: IntMatrix) -> tuple[int, ...]:
+    """The row vector times the matrix, v -> v A."""
+    return tuple(sum(v * row[m] for v, row in zip(vector, matrix)) for m in range(len(matrix[0])))
+
+
 def _push(G: DimensionGroup, level: int, vector: tuple[int, ...]) -> tuple[int, ...]:
     matrix = G.matrices[level]
-    n = G.n
     if G.source == "induction_chain":
-        return tuple(sum(matrix[l][m] * vector[l] for l in range(n)) for m in range(n))
-    return tuple(sum(matrix[m][l] * vector[l] for l in range(n)) for m in range(n))
+        return _row_times(vector, matrix)
+    return tuple(sum(a * v for a, v in zip(row, vector)) for row in matrix)
 
 
 def positivity(G: DimensionGroup, x: GroupElement, horizon: int) -> PositivityVerdict:
@@ -248,23 +256,21 @@ def dual_cone_test(x: GroupElement, cone: ConeApprox,
                    epsilon: Fraction = DEFAULT_CONE_EPSILON) -> ConeVerdict:
     """Pair a group element with every approximate measure ray, exactly.
 
-    The element is pushed to the cone's depth, where the pairing with the
-    normalized ray j is the exact rational (Q^T v)_j / s_j with Q the
-    remaining partial product and s_j the full product's column sum.
+    The element is pushed through the remaining chain matrices to the
+    cone's depth, v -> v A as in ``positivity``; there the pairing with the
+    normalized ray j is the exact rational v_j / s_j, with s_j the full
+    product's column sum.
     """
+    if x.level < 0 or len(x.vector) != len(cone.product):
+        raise ValueError("element does not fit the cone")
     if x.level > len(cone.chain_matrices):
         raise HorizonExceedsDepth(
             f"element level {x.level} exceeds cone depth {len(cone.chain_matrices)}"
         )
-    n = len(cone.product)
-    partial = identity(n)
+    vector = x.vector
     for matrix in cone.chain_matrices[x.level:]:
-        partial = mat_mul(partial, matrix)
-    sums = column_sums(cone.product)
-    values = [
-        Fraction(sum(x.vector[l] * partial[l][j] for l in range(n)), sums[j])
-        for j in range(n)
-    ]
+        vector = _row_times(vector, matrix)
+    values = [Fraction(v, s) for v, s in zip(vector, column_sums(cone.product))]
     if all(value > epsilon for value in values):
         return "consistent_positive"
     if all(value < -epsilon for value in values):
@@ -352,12 +358,16 @@ def strip_class_matrix(T: Iet, level: StripLevel) -> IntMatrix:
 
 
 def strip_coordinates(class_matrix: IntMatrix, vector: Sequence[int]) -> tuple[int, ...]:
-    """Rewrite an interval-coordinate vector in strip coordinates, exactly."""
-    inv = inverse(class_matrix)
-    out = []
-    for row in inv:
-        value = sum(entry * component for entry, component in zip(row, vector))
-        if value.denominator != 1:
-            raise ConsistencyViolation("strip coordinates came out fractional")
-        out.append(int(value))
-    return tuple(out)
+    """Rewrite an interval-coordinate vector in strip coordinates, exactly.
+
+    Solves W w = v by Cramer's rule: w_j is the determinant of W with column
+    j replaced by v, divided by det W.
+    """
+    determinant = det(class_matrix)
+    if determinant == 0:
+        raise ValueError("matrix is singular")
+    numerators = [det([[*row[:j], v, *row[j + 1:]] for row, v in zip(class_matrix, vector)])
+                  for j in range(len(class_matrix))]
+    if any(numerator % determinant for numerator in numerators):
+        raise ConsistencyViolation("strip coordinates came out fractional")
+    return tuple(numerator // determinant for numerator in numerators)

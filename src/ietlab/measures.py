@@ -46,8 +46,8 @@ class ConeApprox:
     ``product`` is the exact product of the chain's transition matrices,
     ``rays`` its sum-one normalized columns, and ``clusters`` groups ray
     indices whose pairwise max-norm distance is below the tolerance.
-    ``chain_matrices`` keeps the individual factors so that partial products
-    from any intermediate level can be rebuilt exactly.
+    ``chain_matrices`` keeps the factors after the first step, so that a group
+    element at any intermediate level can be pushed to the cone's depth.
     """
 
     depth: int
@@ -178,23 +178,3 @@ def unique_ergodicity_certificate(chain: Sequence[InductionStep], required_block
         required_blocks=required_blocks,
     )
 
-
-def nesting_holds(outer: ConeApprox, inner: ConeApprox) -> bool:
-    """Check that the deeper cone's rays lie in the span described by the shallower one.
-
-    With exact arithmetic this reduces to the matrix identity: the deeper
-    product must factor through the shallower product with a nonnegative
-    integer cofactor, which holds by construction for chains sharing a
-    prefix.  The check recomputes the factorization from the stored factors.
-    """
-    if len(inner.chain_matrices) < len(outer.chain_matrices):
-        return False
-    if inner.chain_matrices[: len(outer.chain_matrices)] != outer.chain_matrices:
-        return False
-    n = len(inner.product)
-    cofactor = identity(n)
-    for factor in inner.chain_matrices[len(outer.chain_matrices) :]:
-        cofactor = mat_mul(cofactor, factor)
-    return mat_mul(outer.product, cofactor) == inner.product and all(
-        entry >= 0 for row in cofactor for entry in row
-    )

@@ -31,7 +31,7 @@ from .errors import (
 from .exactnum import QuadReal, quad
 from .iet import Iet, Permutation, idoc_check, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
-from .intmat import IntMatrix, freeze
+from .intmat import IntMatrix, freeze, identity_plus_unit
 
 
 @dataclass(frozen=True)
@@ -433,15 +433,8 @@ def _inherit_indices(raw: IntMatrix, current: list[Strip]) -> tuple[list[Strip],
     aligned = [[0] * n for _ in range(n)]
     for row in range(n):
         aligned[assignment[row]] = list(raw[row])
-    off_diagonal = 0
-    for i in range(n):
-        if aligned[i][i] != 1:
-            raise ShapeViolation("aligned incidence matrix is not 1 on the diagonal")
-        for j in range(n):
-            if i != j and aligned[i][j]:
-                off_diagonal += aligned[i][j]
-    if off_diagonal != 1:
-        raise ShapeViolation("aligned incidence matrix needs exactly one off-diagonal 1")
+    if not identity_plus_unit(aligned):
+        raise ShapeViolation("aligned incidence matrix is not identity plus one unit")
     relabeled = [
         Strip(index=assignment[strip.index - 1] + 1, floors=strip.floors,
               visit_word=strip.visit_word)
@@ -504,17 +497,3 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
         )
     return tuple(out)
 
-
-def strip_dimension_group_feed(levels: tuple[StripLevel, ...] | list[StripLevel]) -> tuple[IntMatrix, ...]:
-    """Incidence matrices between consecutive strip levels, shape-checked."""
-    matrices = []
-    for level in levels[1:]:
-        matrix = level.incidence_to_previous
-        if matrix is None:
-            raise ShapeViolation(f"level {level.level} carries no incidence matrix")
-        n = len(matrix)
-        off = sum(matrix[i][j] for i in range(n) for j in range(n) if i != j)
-        if any(matrix[i][i] != 1 for i in range(n)) or off != 1:
-            raise ShapeViolation("incidence matrix is not identity plus one unit")
-        matrices.append(matrix)
-    return tuple(matrices)

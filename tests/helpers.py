@@ -92,3 +92,10 @@ def sqrt2_example() -> Iet:
 def golden_example() -> Iet:
     r5 = radical(5)
     return iet_new(Permutation((2, 1)), [(r5 - 1) / 2, (3 - r5) / 2])
+
+
+def four_example() -> Iet:
+    """A 4-interval map with a closed transversal, so the strip code sees n > 2."""
+    r2 = radical(2)
+    return iet_new(Permutation((3, 1, 4, 2)),
+                   [r2 - 1, quad(Fraction(1, 2)), 2 - r2, quad(Fraction(1, 3))])

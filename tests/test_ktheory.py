@@ -1,10 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from ietlab import (
+    ConsistencyViolation,
     GroupElement,
     HorizonExceedsDepth,
+    ShapeViolation,
     basic_interval,
     bratteli,
     coinvariant_shift,
@@ -25,6 +28,7 @@ from ietlab import (
     towers,
     whole_interval,
 )
+from helpers import four_example
 
 
 def test_towers_sqrt2(sqrt2_iet):
@@ -132,6 +136,9 @@ def test_dual_cone_test(sqrt2_iet):
     assert dual_cone_test(GroupElement(0, (0, 0)), cone) == "boundary"
     with pytest.raises(HorizonExceedsDepth):
         dual_cone_test(GroupElement(99, (1, 1)), cone)
+    for misfit in (GroupElement(0, (1, 1, -50)), GroupElement(0, (1,)), GroupElement(-1, (1, 1))):
+        with pytest.raises(ValueError, match="does not fit the cone"):
+            dual_cone_test(misfit, cone)
 
 
 def test_dual_cone_epsilon_controls_boundary(sqrt2_iet):
@@ -196,10 +203,32 @@ def test_strip_class_matrices_chain(sqrt2_iet):
         assert mats[j] == mat_mul(mats[j + 1], levels[j + 1].incidence_to_previous)
 
 
-def test_strip_coordinates_integral(sqrt2_iet):
+def test_strip_coordinates_integral(sqrt2_iet, golden_iet):
     levels = strip_decomposition(sqrt2_iet, 1)
     W = strip_class_matrix(sqrt2_iet, levels[0])
     assert strip_coordinates(W, (1, 1)) == (5, 2)
     # heights of the level-1 strips recover the all-ones class
     heights = tuple(s.height for s in levels[0].strips)
     assert strip_coordinates(W, (1, 1)) == heights
+    for T, depth in ((sqrt2_iet, 10), (golden_iet, 10), (four_example(), 6)):
+        n = T.n
+        vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        vectors += [(1,) * n, tuple(range(-2, n - 2))]
+        for level in strip_decomposition(T, depth):
+            W = strip_class_matrix(T, level)
+            for v in vectors:
+                w = strip_coordinates(W, v)
+                assert tuple(sum(a * b for a, b in zip(row, w)) for row in W) == v
+    with pytest.raises(ValueError, match="matrix is singular"):
+        strip_coordinates(((1, 2), (2, 4)), (1, 1))
+    with pytest.raises(ConsistencyViolation, match="strip coordinates came out fractional"):
+        strip_coordinates(((2, 1), (0, 1)), (0, 1))
+
+
+@pytest.mark.parametrize("incidence", [((1, 0), (0, 1)), ((1, 1), (1, 1)), None],
+                         ids=["identity", "two-units", "missing"])
+def test_strip_group_rejects_bad_incidence(sqrt2_iet, incidence):
+    levels = list(strip_decomposition(sqrt2_iet, 3))
+    levels[1] = dataclasses.replace(levels[1], incidence_to_previous=incidence)
+    with pytest.raises(ShapeViolation):
+        dimension_group(strips=levels)

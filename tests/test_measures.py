@@ -8,7 +8,6 @@ from ietlab import (
     cone_approx,
     empirical_measure,
     iet_new,
-    nesting_holds,
     permutation,
     quad,
     shrink_sequence,
@@ -56,18 +55,6 @@ def test_cluster_epsilon_widens_clusters(sqrt2_iet):
     loose = cone_approx(chain, Fraction(1, 2))
     assert tight.nu_estimate >= loose.nu_estimate
     assert loose.nu_estimate == 1
-
-
-def test_nesting_holds_along_one_chain(sqrt2_iet):
-    outer = cone_approx(chain_of(sqrt2_iet, 10))
-    inner = cone_approx(chain_of(sqrt2_iet, 15))
-    assert nesting_holds(outer, inner)
-    assert not nesting_holds(inner, outer)
-
-
-def test_nesting_rejects_unrelated_chains(sqrt2_iet, golden_iet):
-    assert not nesting_holds(cone_approx(chain_of(sqrt2_iet, 6)),
-                             cone_approx(chain_of(golden_iet, 9)))
 
 
 def test_certificate_sqrt2(sqrt2_iet):

@@ -16,8 +16,8 @@ from ietlab import (
     radical,
     singularity_profile,
     strip_decomposition,
-    strip_dimension_group_feed,
 )
+from helpers import four_example
 
 
 def test_sigma0_two_interval():
@@ -146,9 +146,7 @@ def test_consecutive_floors_are_images(sqrt2_iet):
 
 
 def test_floor_interval_is_the_interval_containing_it(sqrt2_iet):
-    four = iet_new(permutation(3, 1, 4, 2), [radical(2) - 1, quad(Fraction(1, 2)),
-                                             2 - radical(2), quad(Fraction(1, 3))])
-    for T in (sqrt2_iet, four):
+    for T in (sqrt2_iet, four_example()):
         for level in strip_decomposition(T, 4):
             for floor in (floor for strip in level.strips for floor in strip.floors):
                 containing = [i for i in range(1, T.n + 1)
@@ -177,9 +175,3 @@ def test_strips_reject_rational_data():
     T = iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))])
     with pytest.raises(NotVerifiedIDOC):
         strip_decomposition(T, 1)
-
-
-def test_strip_feed_matches_incidence(sqrt2_iet):
-    levels = strip_decomposition(sqrt2_iet, 4)
-    feed = strip_dimension_group_feed(levels)
-    assert feed == tuple(lvl.incidence_to_previous for lvl in levels[1:])
