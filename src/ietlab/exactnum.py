@@ -288,12 +288,12 @@ def format_quad(x: "QuadReal | RationalLike") -> str:
     return f"{rat}{sign}{mag.numerator}/{mag.denominator}r"
 
 
-# A digit run is split only before a radical term with no separator, and then
-# before its last digit ("12r" is 1 + 2r); with no other split and no two
-# whitespace quantifiers competing, matching is linear in the text length.
+# Every digit run is maximal ("12r" is 12r, "1 2r" is 1 + 2r); with no split
+# run and no two whitespace quantifiers competing, matching is linear in the
+# text length.
 _QUAD_RE = re.compile(
     r"""^\s*(?!\s)
-        (?P<rat>[+-]?\d+(?=\d?(?!\d))(?:\s*/\s*\d+(?=\d?(?!\d)))?)?
+        (?P<rat>[+-]?\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)?
         (?:\s*(?:(?P<sign>[+-])\s*)?(?P<coef>\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)\s*r)?
         \s*$""",
     re.VERBOSE,
@@ -302,6 +302,10 @@ _QUAD_RE = re.compile(
 _MAX_DIGITS = 4300
 # Longest prefix of a value that an error message quotes.
 _MAX_QUOTED = 40
+
+
+def _clipped(text: str) -> str:
+    return text if len(text) <= _MAX_QUOTED else text[:_MAX_QUOTED] + "..."
 
 
 def _quoted(text: str) -> str:

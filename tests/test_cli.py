@@ -1,10 +1,12 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietlab import ParseError, parse_quad, quad, radical
-from ietlab.cli import COMMANDS, CSV_HEADER, MAX_RADICAND, ExperimentConfig, main, parse_config
+from ietlab.cli import (_PARSERS, COMMANDS, CSV_HEADER, MAX_RADICAND, ExperimentConfig, main,
+                        parse_config)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -97,6 +100,30 @@ def test_parse_config_bad_side_and_epsilon():
         parse_config("epsilon = 1r\n")
     with pytest.raises(ParseError):
         parse_config("depth = 0\n")
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("bogus = 1\nside = up\ndepth\n", "expected key=value", 3),
+    ("side = up\nbogus = 1\ndepth = 2\ndepth = 3\n", "unknown key 'bogus'", 2),
+    ("side = up\ndepth = 2\ndepth = 3\nbogus = 1\n", "duplicate key 'depth'", 3),
+    ("side = up\ny0 = x\nepsilon = 1r\nwindow_n = 0\n", "value 0 below minimum 1", 4),
+    ("side = up\ny0 = x\nepsilon = 1r\n", "radical term in '1r' but d is 0", 3),
+    ("side = up\nd = 2\nalpha = 1\nsigma = 2 x\n", "invalid permutation '2 x'", 4),
+    ("alpha = x\nd = x\n", "invalid integer 'x'", 2),
+], ids=["equals-first", "unknown-key", "duplicate-key", "integers-before-epsilon",
+        "epsilon-before-y0", "sigma-before-alpha", "d-before-alpha"])
+def test_parse_config_error_precedence(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_config(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
+def test_readme_key_table_lists_config_fields():
+    readme = (SRC.parent / "README.md").read_text()
+    keys = re.findall(r"^\| `(\w+)`", readme, flags=re.M)
+    names = [field.name for field in fields(ExperimentConfig)]
+    assert sorted(keys) == sorted(names)
+    assert sorted(_PARSERS) == sorted(names)
 
 
 def test_cli_writes_csv_with_header(tmp_path):
@@ -231,7 +258,15 @@ def test_cli_rejects_radicand_above_bound(tmp_path, capsys):
     ("sigma = 2 1\nd = 2\nalpha = 1r, 1\ny0 = 1/" + "7" * 5000 + "\n", "(line 4, column 6)"),
     ("sigma = 2 1\nd = 2\nalpha = 1" + " " * 4000 + "x, 1\n", "(line 3, column 9)"),
     ("sigma = 2 1\nd = 2\nalpha = 1/" + " " * 4000 + "0, 1\n", "(line 3, column 9)"),
-], ids=["long-integer", "long-denominator", "whitespace-run", "whitespace-zero-denominator"])
+    ("sigma = 2 1\nd = 2\nalpha = 1r, 1\ndepth = 1" + " " * 4000 + "x\n", "(line 4, column 9)"),
+    ("sigma = 2" + " " * 4000 + "x 1\nd = 2\nalpha = 1r, 1\n", "(line 1, column 9)"),
+    ("sigma = 2 1\nd = 2\nalpha = 1r, 1\nside = l" + " " * 4000 + "eft\n", "(line 4, column 8)"),
+    ("sigma = 2 1\nd = 2\nalpha = 1r, 1\nbo" + " " * 4000 + "gus = 1\n", "(line 4, column 1)"),
+    ("sigma = 2 1\nd = 2\nalpha = 1r, 1\ndepth = -" + "1" * 4000 + "\n", "(line 4, column 9)"),
+    ("sigma = 2 1\nd = " + "1" * 4000 + "\nalpha = 1r, 1\n", "(line 2, column 5)"),
+], ids=["long-integer", "long-denominator", "whitespace-run", "whitespace-zero-denominator",
+        "whitespace-depth", "whitespace-sigma", "whitespace-side", "whitespace-unknown-key",
+        "long-negative-depth", "long-radicand"])
 def test_cli_long_literals_exit_cleanly(tmp_path, capsys, text, position):
     assert run("orbit", write_cfg(tmp_path, text), tmp_path / "out") == 4
     err = capsys.readouterr().err

@@ -149,6 +149,12 @@ def test_parse_forms():
     assert parse_quad("2-1r", 8) == quad(2, -1, 8)
     assert format_quad(parse_quad("2-1r", 8)) == "2/1-2/1r"
     assert parse_quad("-1/1+1/1r", 2) == radical(2) - 1
+    # digit runs are maximal: a run written straight before r is one coefficient
+    assert parse_quad("12r", 2) == quad(0, 12, 2)
+    assert parse_quad("-12r", 2) == quad(0, -12, 2)
+    assert parse_quad("12/5r", 2) == quad(0, Fraction(12, 5), 2)
+    assert parse_quad("123/4r", 2) == quad(0, Fraction(123, 4), 2)
+    assert parse_quad("1 2r", 2) == quad(1, 2, 2)
 
 
 def test_parse_errors():
@@ -165,15 +171,18 @@ def test_parse_errors():
     assert parse_quad("-" + "1" * 4300) == quad(-int("1" * 4300))
     with pytest.raises(ParseError):
         parse_quad("1" + " " * 4000 + "x", 2)
+    with pytest.raises(ParseError):
+        parse_quad("1/11/2r", 2)  # a denominator run straight into a radical term
 
 
 # The pattern parse_quad matched with before its matching was made linear in
-# the length of the text; it is kept as the reference for what parses and how.
+# the length of the text, with every digit run made maximal; it is kept as the
+# reference for what parses and how.
 BACKTRACKING_QUAD_RE = re.compile(
     r"""^\s*
-        (?P<rat>[+-]?\d+(?:\s*/\s*\d+)?)?
+        (?P<rat>[+-]?\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)?
         \s*
-        (?:(?P<sign>[+-])?\s*(?P<coef>\d+(?:\s*/\s*\d+)?)\s*r)?
+        (?:(?P<sign>[+-])?\s*(?P<coef>\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)\s*r)?
         \s*$""",
     re.VERBOSE,
 )

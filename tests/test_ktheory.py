@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -196,11 +197,28 @@ def test_strip_class_matrix_frozen(sqrt2_iet, golden_iet):
     assert strip_class_matrix(golden_iet, glevels[0]) == ((-1, 2), (2, -3))
 
 
-def test_strip_class_matrices_chain(sqrt2_iet):
-    levels = strip_decomposition(sqrt2_iet, 4)
-    mats = [strip_class_matrix(sqrt2_iet, lvl) for lvl in levels]
-    for j in range(len(levels) - 1):
-        assert mats[j] == mat_mul(mats[j + 1], levels[j + 1].incidence_to_previous)
+def test_strip_class_matrices_chain(sqrt2_iet, golden_iet):
+    for T, depth in ((sqrt2_iet, 4), (golden_iet, 8), (four_example(), 6)):
+        levels = strip_decomposition(T, depth)
+        mats = [strip_class_matrix(T, lvl) for lvl in levels]
+        for j in range(len(levels) - 1):
+            assert mats[j] == mat_mul(mats[j + 1], levels[j + 1].incidence_to_previous)
+
+
+def test_lebesgue_trace_of_classes(sqrt2_iet, golden_iet):
+    # tau(v) = sum v_i alpha_i is the Lebesgue trace in interval coordinates
+    for T, depth in ((sqrt2_iet, 8), (golden_iet, 8), (four_example(), 6)):
+        def tau(v):
+            return sum((a * c for a, c in zip(T.alpha, v)), quad(0))
+
+        classes = orbit_classes(T, 60)
+        for k, (_, x) in enumerate(islice(T.walk(quad(0)), 61)):
+            assert tau(classes[k]) == x
+        for level in strip_decomposition(T, depth):
+            W = strip_class_matrix(T, level)
+            for j, strip in enumerate(level.strips):
+                width = tau([row[j] for row in W])
+                assert all(floor.right - floor.left == width for floor in strip.floors)
 
 
 def test_strip_coordinates_integral(sqrt2_iet, golden_iet):
