@@ -5,6 +5,7 @@ import pytest
 
 from ietlab import (
     ClosedTransversalRequired,
+    DepthExceeded,
     NotVerifiedIDOC,
     Permutation,
     Reducible,
@@ -17,7 +18,7 @@ from ietlab import (
     singularity_profile,
     strip_decomposition,
 )
-from helpers import four_example
+from helpers import four_example, golden_example, sqrt2_example
 
 
 def test_sigma0_two_interval():
@@ -173,5 +174,31 @@ def test_strips_require_closed_transversal():
 
 def test_strips_reject_rational_data():
     T = iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))])
-    with pytest.raises(NotVerifiedIDOC):
+    with pytest.raises(NotVerifiedIDOC, match="^orbit of 0 hits a separation point at exponent 2$"):
         strip_decomposition(T, 1)
+    T = iet_new(permutation(3, 1, 4, 2), [quad(Fraction(1, 4))] * 4)
+    with pytest.raises(NotVerifiedIDOC, match="^orbit of 0 hits a separation point at exponent 1$"):
+        strip_decomposition(T, 1)
+
+
+@pytest.mark.parametrize("example, max_steps, message", [
+    (sqrt2_example, 3, "no depth below 3 covers every interval twice"),
+    (sqrt2_example, 4, "orbit of 0 longer than 4 steps"),
+    (sqrt2_example, 6, "no landing below 6 orbit steps"),
+    (golden_example, 7, "no landing below 7 orbit steps"),
+    (four_example, 30, "no depth below 30 covers every interval twice"),
+], ids=["sqrt2-first-depth", "sqrt2-orbit", "sqrt2-landing", "golden-landing", "four-first-depth"])
+def test_strips_budget_errors(example, max_steps, message):
+    with pytest.raises(DepthExceeded, match=f"^{message}$"):
+        strip_decomposition(example(), 6, max_steps=max_steps)
+
+
+def test_strips_small_budgets_fail_only_on_depth():
+    # a budget too small for 6 levels must read as DepthExceeded, never as a failed check
+    for T in (sqrt2_example(), golden_example()):
+        for max_steps in range(1, 41):
+            try:
+                levels = strip_decomposition(T, 6, max_steps=max_steps)
+            except DepthExceeded:
+                continue
+            assert len(levels) == 6
