@@ -25,8 +25,8 @@ from typing import Any, Callable, Sequence
 
 from . import ktheory, measures, suspension
 from .errors import IetlabError, ParseError
-from .exactnum import (QuadReal, _clipped, _quoted, format_quad, parse_quad, quad,
-                       quad_approx)
+from .exactnum import (QuadReal, _clipped, _integer_token, _quoted, format_quad, parse_quad,
+                       quad, quad_approx)
 from .iet import Iet, Permutation, idoc_check, iet_new
 from .induction import (DEFAULT_MAX_STEPS, InductionStep, basic_interval, induce,
                         shrink_sequence)
@@ -68,7 +68,7 @@ Parser = Callable[[str, int], object]
 def _integer(minimum: int) -> Parser:
     def parse(value: str, d: int) -> int:
         try:
-            parsed = int(value)
+            parsed = _integer_token(value)
         except ValueError:
             raise ParseError(f"invalid integer {_quoted(value)}") from None
         if parsed < minimum:
@@ -86,7 +86,7 @@ def _radicand(value: str, d: int) -> int:
 
 def _sigma(value: str, d: int) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in value.split())
+        return tuple(_integer_token(part) for part in value.split())
     except ValueError:
         raise ParseError(f"invalid permutation {_quoted(value)}") from None
 
@@ -357,7 +357,7 @@ def _cmd_towers(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 def _cmd_bratteli(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     chain = _chain(config)
     diagram = ktheory.bratteli(chain, max_steps=config.max_steps)
-    (out / "bratteli.dot").write_text(ktheory.export_bratteli(diagram))
+    (out / "bratteli.dot").write_text(ktheory.export_bratteli(diagram), encoding="utf-8")
     rows: list[Row] = []
     for k, matrix in enumerate(diagram.edges):
         rows += _matrix_rows("edge_entry", matrix, k)
@@ -396,7 +396,8 @@ def _cmd_lsigma(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
 def _cmd_render(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     T, levels = _strip_levels(config)
     for level in levels:
-        (out / f"strips_level{level.level}.svg").write_text(render_strip_level(T, level))
+        svg = render_strip_level(T, level)
+        (out / f"strips_level{level.level}.svg").write_text(svg, encoding="utf-8")
     return [], 0
 
 
@@ -430,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory for artifacts")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ietlab: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -441,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows, code = _HANDLERS[args.command](config, out)
         if args.command != "render":
             lines = [",".join(CSV_HEADER)] + [",".join(row) for row in rows]
-            (out / f"{args.command}.csv").write_text("\n".join(lines) + "\n")
+            (out / f"{args.command}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     except ParseError as exc:
         print(f"ietlab: config error: {exc} (line {exc.line}, column {exc.column})",
               file=sys.stderr)

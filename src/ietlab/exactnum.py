@@ -288,16 +288,18 @@ def format_quad(x: "QuadReal | RationalLike") -> str:
     return f"{rat}{sign}{mag.numerator}/{mag.denominator}r"
 
 
-# Every digit run is maximal ("12r" is 12r, "1 2r" is 1 + 2r); with no split
-# run and no two whitespace quantifiers competing, matching is linear in the
-# text length.
+# Digits are ASCII and every digit run is maximal ("12r" is 12r, "1 2r" is
+# 1 + 2r); with no split run and no two whitespace quantifiers competing,
+# matching is linear in the text length.
 _QUAD_RE = re.compile(
     r"""^\s*(?!\s)
-        (?P<rat>[+-]?\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)?
-        (?:\s*(?:(?P<sign>[+-])\s*)?(?P<coef>\d+(?!\d)(?:\s*/\s*\d+(?!\d))?)\s*r)?
+        (?P<rat>[+-]?[0-9]+(?![0-9])(?:\s*/\s*[0-9]+(?![0-9]))?)?
+        (?:\s*(?:(?P<sign>[+-])\s*)?(?P<coef>[0-9]+(?![0-9])(?:\s*/\s*[0-9]+(?![0-9]))?)\s*r)?
         \s*$""",
     re.VERBOSE,
 )
+# One integer token; int() alone would also take "_" separators and non-ASCII digits.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # Longest digit run a literal may hold; it is also the default limit of int().
 _MAX_DIGITS = 4300
 # Longest prefix of a value that an error message quotes.
@@ -312,6 +314,13 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= _MAX_QUOTED else repr(text[:_MAX_QUOTED]) + "..."
 
 
+def _integer_token(text: str) -> int:
+    """int(text) for text matching _INTEGER_RE with at most _MAX_DIGITS digits, else ValueError."""
+    if not _INTEGER_RE.fullmatch(text) or len(text.lstrip("+-")) > _MAX_DIGITS:
+        raise ValueError(f"not an integer token: {_quoted(text)}")
+    return int(text)
+
+
 def parse_quad(text: str, d: int = 0) -> QuadReal:
     """Parse the text form of a quadratic number; d comes from context."""
     m = _QUAD_RE.match(text)
@@ -319,9 +328,10 @@ def parse_quad(text: str, d: int = 0) -> QuadReal:
         raise ParseError(f"not a quadratic number: {_quoted(text)}")
 
     def _int(tok: str) -> int:
-        if len(tok.strip().lstrip("+-")) > _MAX_DIGITS:
-            raise ParseError(f"integer of more than {_MAX_DIGITS} digits")
-        return int(tok)
+        try:
+            return _integer_token(tok.strip())
+        except ValueError:
+            raise ParseError(f"integer of more than {_MAX_DIGITS} digits") from None
 
     def _frac(tok: str) -> Fraction:
         num, _, den = tok.partition("/")

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import ConsistencyViolation, InvalidPermutation, NonPositiveLength, OutOfDomain
-from .exactnum import QuadReal, _as_quad, quad
+from .exactnum import QuadReal, _as_quad, _clipped, quad
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class Permutation:
     def __post_init__(self) -> None:
         n = len(self.images)
         if n < 2 or sorted(self.images) != list(range(1, n + 1)):
-            raise InvalidPermutation(f"not a permutation of 1..n: {self.images}")
+            raise InvalidPermutation(f"not a permutation of 1..n: {_clipped(str(self.images))}")
 
     @property
     def n(self) -> int:

@@ -17,7 +17,8 @@ an existing strip.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import islice
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     Reducible,
     ShapeViolation,
 )
-from .exactnum import QuadReal, quad
+from .exactnum import QuadReal, _clipped, quad
 from .iet import Iet, Permutation, idoc_check, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze, identity_plus_unit
@@ -103,7 +104,7 @@ def _cycles_of(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def singularity_profile(sigma: Permutation) -> SingularityProfile:
     """Boundary permutation, its cycles, multiplicities, prongs, genus, and the flags."""
     if not irreducible(sigma):
-        raise Reducible(f"sigma {sigma.images} is reducible")
+        raise Reducible(f"sigma {_clipped(str(sigma.images))} is reducible")
     images = _sigma0_images(sigma)
     cycles = _cycles_of(images)
     n = sigma.n
@@ -236,9 +237,6 @@ class _OrbitCache:
             self.points.append(step)
         return self.points[k]
 
-    def value(self, k: int) -> QuadReal:
-        return self.point(k)[1]
-
 
 def _markers_for(T: Iet, cache: _OrbitCache, K: int) -> tuple[MarkerTable, MarkerTable]:
     n = T.n
@@ -248,7 +246,7 @@ def _markers_for(T: Iet, cache: _OrbitCache, K: int) -> tuple[MarkerTable, Marke
         i, x = cache.point(k)
         plain[i].append((k, x))
     for k in range(2, K + 2):
-        x = cache.value(k)
+        x = cache.point(k)[1]
         primed[T.image_interval_index(x)].append((k, x))
     tables: list[MarkerTable] = []
     for source, is_primed in ((plain, False), (primed, True)):
@@ -263,7 +261,10 @@ def _markers_for(T: Iet, cache: _OrbitCache, K: int) -> tuple[MarkerTable, Marke
                     k, x = extreme(source[i + delta], key=lambda kx: kx[1])
                     table[(delta, i)] = Marker(delta, i, k, x, is_primed)
         tables.append(table)
-    return tables[0], tables[1]
+    markers, primed_markers = tables
+    if {T.apply(m.value) for m in markers.values()} != {m.value for m in primed_markers.values()}:
+        raise ConsistencyViolation("primed markers are not the T-images of the markers")
+    return markers, primed_markers
 
 
 def _flow_strip(
@@ -271,34 +272,27 @@ def _flow_strip(
     cache: _OrbitCache,
     bottom: tuple[QuadReal, QuadReal, int, int],
     spans: list[tuple[int, QuadReal, QuadReal]],
-    max_steps: int,
 ) -> tuple[list[Floor], list[int]]:
     """Flow a bottom (left, right, exponents) forward until it lands inside a marked span."""
     start, end, left_exponent, right_exponent = bottom
     floors: list[Floor] = []
     word: list[int] = []
     width = end - start
-    for step, (i, left) in enumerate(islice(T.walk(start, width), max_steps)):
+    for step, (i, left) in enumerate(islice(T.walk(start, width), cache.max_steps)):
         right = left + width
         floor = Floor(left, right, left_exponent + step, right_exponent + step,
                       i if right <= T.beta[i] else None)
-        if step and not (left == cache.value(floor.left_exponent)
-                         and right == cache.value(floor.right_exponent)):
+        if step and not (left == cache.point(floor.left_exponent)[1]
+                         and right == cache.point(floor.right_exponent)[1]):
             raise ConsistencyViolation("floor endpoints left the orbit of 0")
         floors.append(floor)
         if any(lo <= left and right <= hi for _, lo, hi in spans):
             return floors, word
         word.append(i)
-    raise DepthExceeded(f"strip did not close within {max_steps} floors")
+    raise DepthExceeded(f"strip did not close within {cache.max_steps} floors")
 
 
-def _level_strips(
-    T: Iet,
-    cache: _OrbitCache,
-    plain: MarkerTable,
-    prime: MarkerTable,
-    max_steps: int,
-) -> list[Strip]:
+def _level_strips(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTable) -> list[Strip]:
     n = T.n
     spans = [(j, plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
     j0 = T.sigma(1) - 1
@@ -316,104 +310,74 @@ def _level_strips(
     bottoms.sort(key=lambda bottom: bottom[0])
     strips = []
     for index, bottom in enumerate(bottoms, start=1):
-        floors, word = _flow_strip(T, cache, bottom, spans, max_steps)
+        floors, word = _flow_strip(T, cache, bottom, spans)
         strips.append(Strip(index=index, floors=tuple(floors), visit_word=tuple(word)))
     if not tiles(((f.left, f.right) for s in strips for f in s.floors), quad(0), T.total):
         raise ConsistencyViolation("strip floors do not tile the interval")
     return strips
 
 
-def _check_marker_images(T: Iet, plain: MarkerTable, prime: MarkerTable) -> None:
-    images = {T.apply(m.value) for m in plain.values()}
-    primed_values = {m.value for m in prime.values()}
-    if images != primed_values:
-        raise ConsistencyViolation("primed markers are not the T-images of the markers")
-
-
-def _minimal_two_point_depth(T: Iet, cache: _OrbitCache, max_steps: int) -> int:
+def _first_depth(T: Iet, cache: _OrbitCache) -> tuple[int, int]:
+    """Least depth with two orbit points in every interval, bumped once for an end interval."""
     counts = [0] * T.n
-    k = 0
+    k = i = 0
     while min(counts) < 2:
         k += 1
-        if k > max_steps:
-            raise DepthExceeded(f"no depth below {max_steps} covers every interval twice")
-        counts[cache.point(k)[0] - 1] += 1
-    return k
+        if k > cache.max_steps:
+            raise DepthExceeded(f"no depth below {cache.max_steps} covers every interval twice")
+        i = cache.point(k)[0]
+        counts[i - 1] += 1
+    return k, k + 1 if T.sigma(i) in (1, T.n) else k
 
 
-def _boundary_adjust(T: Iet, cache: _OrbitCache, k: int) -> int:
-    """Bump the first-level depth once when T^k(0) lands in a boundary interval."""
-    i = cache.point(k)[0]
-    return k + 1 if T.sigma(i) in (1, T.n) else k
+def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTable) -> tuple[int, int]:
+    """Climb the orbit past the deepest primed span marker to the next landing.
 
-
-def _next_depth(
-    T: Iet,
-    cache: _OrbitCache,
-    plain: MarkerTable,
-    prime: MarkerTable,
-    max_steps: int,
-) -> tuple[int, int]:
-    """Climb the orbit past the deepest primed span marker to the next landing."""
+    A landing in the span of beta(j) lies in interval i = j or j + 1, never on
+    beta(j); the depth is bumped when I(i) maps to the end interval on its side.
+    """
     n = T.n
     start = max(prime[(d, i)].exponent for d in (0, 1) for i in range(1, n))
     left_col = plain[(1, 0)].value
     right_col = plain[(0, n)].value
-    for m in range(start + 1, max_steps):
-        z = cache.value(m)
+    for m in range(start + 1, cache.max_steps):
+        i, z = cache.point(m)
         for j in range(1, n):
             if plain[(0, j)].value < z < plain[(1, j)].value:
-                return m, _span_adjust(T, z, j, m)
-        if (quad(0) < z < left_col) or (right_col < z < T.total):
+                return m, m + 1 if T.sigma(i) == (n if i == j else 1) else m
+        # z lies in [0, total) and is not 0, which the cache would reject as a repeat
+        if z < left_col or right_col < z:
             return m, m
-    raise DepthExceeded(f"no landing below {max_steps} orbit steps")
+    raise DepthExceeded(f"no landing below {cache.max_steps} orbit steps")
 
 
-def _span_adjust(T: Iet, z: QuadReal, j: int, m: int) -> int:
-    if z < T.beta[j] and T.sigma(j) == T.n:
-        return m + 1
-    if T.beta[j] < z and T.sigma(j + 1) == 1:
-        return m + 1
-    return m
-
-
-def _incidence(previous: list[Strip], current: list[Strip]) -> IntMatrix:
-    """Count current floors per previous floor and align by index inheritance."""
+def _incidence(previous: tuple[Strip, ...], current: list[Strip]) -> tuple[list[Strip], IntMatrix]:
+    """Count current floors per previous floor, check the shape, and relabel by inheritance."""
     n = len(previous)
     old_floors = sorted(
         ((f, s.index) for s in previous for f in s.floors), key=lambda fs: fs[0].left
     )
     lefts = [f.left for f, _ in old_floors]
-    per_floor: dict[int, dict[int, int]] = {s.index: {} for s in current}
+    per_floor: Counter[tuple[int, int]] = Counter()
     for strip in current:
         for floor in strip.floors:
             slot = bisect_right(lefts, floor.left) - 1
-            parent, parent_strip = old_floors[slot]
+            parent = old_floors[slot][0]
             if not (parent.left <= floor.left and floor.right <= parent.right):
                 raise ConsistencyViolation("new floor is not inside a single old floor")
-            counts = per_floor[strip.index]
-            counts[slot] = counts.get(slot, 0) + 1
+            per_floor[strip.index, slot] += 1
+    # the floor counts of each current strip within each previous strip it meets
+    per_strip: dict[tuple[int, int], list[int]] = {}
+    for (index, slot), count in per_floor.items():
+        per_strip.setdefault((index, old_floors[slot][1]), []).append(count)
+    height = {s.index: s.height for s in previous}
     raw = [[0] * n for _ in range(n)]
-    for strip in current:
-        by_old_strip: dict[int, set[int]] = {}
-        touched: dict[int, int] = {}
-        for slot, count in per_floor[strip.index].items():
-            old_strip = old_floors[slot][1]
-            by_old_strip.setdefault(old_strip, set()).add(count)
-            touched[old_strip] = touched.get(old_strip, 0) + 1
-        for old_strip, counts in by_old_strip.items():
-            if len(counts) != 1:
-                raise ShapeViolation("uneven refinement counts within one old strip")
-            height = next(s.height for s in previous if s.index == old_strip)
-            if touched[old_strip] != height:
-                raise ShapeViolation("new strip misses floors of an old strip it meets")
-            raw[strip.index - 1][old_strip - 1] = counts.pop()
-    return freeze(raw)
-
-
-def _inherit_indices(raw: IntMatrix, current: list[Strip]) -> tuple[list[Strip], IntMatrix]:
-    """Relabel current strips so the incidence matrix is identity plus one unit."""
-    n = len(raw)
+    for (index, old_index), counts in per_strip.items():
+        if len(set(counts)) != 1:
+            raise ShapeViolation("uneven refinement counts within one old strip")
+        if len(counts) != height[old_index]:
+            raise ShapeViolation("new strip misses floors of an old strip it meets")
+        raw[index - 1][old_index - 1] = counts[0]
     assignment: dict[int, int] = {}
     split_rows = []
     for row in range(n):
@@ -432,14 +396,10 @@ def _inherit_indices(raw: IntMatrix, current: list[Strip]) -> tuple[list[Strip],
     assignment[split_rows[0]] = next(col for col in range(n) if col not in taken)
     aligned = [[0] * n for _ in range(n)]
     for row in range(n):
-        aligned[assignment[row]] = list(raw[row])
+        aligned[assignment[row]] = raw[row]
     if not identity_plus_unit(aligned):
         raise ShapeViolation("aligned incidence matrix is not identity plus one unit")
-    relabeled = [
-        Strip(index=assignment[strip.index - 1] + 1, floors=strip.floors,
-              visit_word=strip.visit_word)
-        for strip in current
-    ]
+    relabeled = [replace(strip, index=assignment[strip.index - 1] + 1) for strip in current]
     relabeled.sort(key=lambda s: s.index)
     return relabeled, freeze(aligned)
 
@@ -456,34 +416,30 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
     if levels < 1:
         raise ValueError("levels must be positive")
     if not irreducible(T.sigma):
-        raise Reducible(f"sigma {T.sigma.images} is reducible")
+        raise Reducible(f"sigma {_clipped(str(T.sigma.images))} is reducible")
     if T.sigma(T.n) != T.sigma(1) - 1:
         raise ClosedTransversalRequired(
-            f"sigma {T.sigma.images} has no closed transversal through 0"
+            f"sigma {_clipped(str(T.sigma.images))} has no closed transversal through 0"
         )
     cache = _OrbitCache(T, max_steps)
     out: list[StripLevel] = []
-    raw = K = 0
     markers: MarkerTable = {}
     primed: MarkerTable = {}
     for level in range(1, levels + 1):
         if level == 1:
-            raw = _minimal_two_point_depth(T, cache, max_steps)
-            K = _boundary_adjust(T, cache, raw)
+            raw, K = _first_depth(T, cache)
         else:
-            raw, K = _next_depth(T, cache, markers, primed, max_steps)
+            raw, K = _next_depth(T, cache, markers, primed)
             if K <= out[-1].K:
                 raise ConsistencyViolation("strip depth failed to increase")
         report = idoc_check(T, K + 1)
         if not report.verified:
             raise NotVerifiedIDOC(f"distinct-orbit check failed below depth {K + 1}: {report.reason}")
         markers, primed = _markers_for(T, cache, K)
-        _check_marker_images(T, markers, primed)
-        strips = _level_strips(T, cache, markers, primed, max_steps)
+        strips = _level_strips(T, cache, markers, primed)
         incidence: IntMatrix | None = None
         if out:
-            raw_matrix = _incidence(list(out[-1].strips), strips)
-            strips, incidence = _inherit_indices(raw_matrix, strips)
+            strips, incidence = _incidence(out[-1].strips, strips)
         out.append(
             StripLevel(
                 level=level,
@@ -496,4 +452,3 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
             )
         )
     return tuple(out)
-

@@ -1,15 +1,18 @@
 """Shared oracles for the test suite.
 
-Two independent cross-checks back the exact code paths: a 60-digit mpmath
-simulation of the same maps, and a naive iterate-until-return loop that
-knows nothing about induction bookkeeping.
+Three independent cross-checks back the exact code paths: a 60-digit mpmath
+simulation of the same maps, a naive iterate-until-return loop that knows
+nothing about induction bookkeeping, and a Rauzy-Veech step that induces by
+arithmetic on (sigma, alpha) without walking an orbit.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from ietlab import Iet, Permutation, QuadReal, idoc_check, iet_new, quad, quad_sign, radical
+from ietlab import (Iet, OrbitPoint, Permutation, QuadReal, idoc_check, iet_new, orbit_point,
+                    quad, quad_sign, radical)
+from ietlab.intmat import IntMatrix, freeze
 
 mpmath.mp.dps = 60
 
@@ -55,6 +58,34 @@ def naive_first_return(T: Iet, left: QuadReal, right: QuadReal, x: QuadReal,
         if quad_sign(y - left) >= 0 and quad_sign(right - y) > 0:
             return r, y
     raise AssertionError(f"no return within {limit} steps")
+
+
+def rauzy_veech(T: Iet) -> tuple[Permutation, tuple[QuadReal, ...], IntMatrix, OrbitPoint]:
+    """One right Rauzy-Veech step: (sigma', alpha', A, right end of the window [0, right)).
+
+    The top interval n and the bottom interval b = sigma^-1(n) both end at
+    |alpha|.  The shorter is cut off the longer, and one symbol moves: when
+    the top wins, I(b) returns through I(n) and its image now follows that
+    of I(n); otherwise the right alpha_n of I(b) returns through I(n) and
+    lands where I(n) did.  A counts visits as ``induce`` does.
+    """
+    n, sigma, alpha = T.n, list(T.sigma.images), list(T.alpha)
+    b = T.sigma.inverse()(n)
+    words = [[i] for i in range(1, n + 1)]
+    if alpha[n - 1] > alpha[b - 1]:
+        alpha[n - 1] -= alpha[b - 1]
+        sigma = [s + (s > sigma[n - 1]) for s in sigma]
+        sigma[b - 1] = sigma[n - 1] + 1
+        words[b - 1].append(n)
+        right = orbit_point(T, b - 1, 1)
+    else:
+        top = alpha.pop()
+        alpha[b - 1:b] = [alpha[b - 1] - top, top]
+        sigma[b:] = [sigma[n - 1]] + sigma[b:n - 1]
+        words[b:] = [[b, n]] + words[b:n - 1]
+        right = orbit_point(T, n - 1, 0)
+    A = freeze([[word.count(i) for word in words] for i in range(1, n + 1)])
+    return Permutation(tuple(sigma)), tuple(alpha), A, right
 
 
 def random_irreducible(rng, n: int) -> Permutation:

@@ -275,6 +275,42 @@ def test_cli_long_literals_exit_cleanly(tmp_path, capsys, text, position):
     assert len(err) < 150
 
 
+@pytest.mark.parametrize("line, message", [
+    ("depth = 1_0", "invalid integer '1_0' (line 4, column 9)"),
+    ("window_n = \u0661\u0662", "invalid integer '\u0661\u0662' (line 4, column 12)"),
+    ("sigma = \uff12 \uff11", "invalid permutation '\uff12 \uff11' (line 4, column 9)"),
+], ids=["underscore", "arabic-indic-digits", "fullwidth-digits"])
+def test_cli_integers_take_ascii_digits_only(tmp_path, capsys, line, message):
+    cfg = write_cfg(tmp_path, "d = 2\nalpha = 1r, 1\ny0 = 0\n" + line + "\n")
+    assert run("orbit", cfg, tmp_path / "out") == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("orbit", "sigma = " + " ".join(["1"] * 3000) + "\n", "InvalidPermutation"),
+    ("profile", "sigma = " + " ".join(map(str, range(1, 3001))) + "\n", "Reducible"),
+    ("strips", "sigma = " + " ".join(map(str, range(3000, 0, -1))) + "\nalpha = "
+     + ", ".join(["1"] * 3000) + "\n", "ClosedTransversalRequired"),
+], ids=["invalid", "reducible", "open-transversal"])
+def test_cli_long_permutations_echo_a_prefix(tmp_path, capsys, command, text, error):
+    assert run(command, write_cfg(tmp_path, text), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ietlab: {error}: ")
+    assert len(err) < 150
+    assert "Traceback" not in err
+
+
+def test_cli_files_are_utf8_under_any_locale(tmp_path):
+    # any read or write left to the locale's encoding raises here
+    cfg = write_cfg(tmp_path)
+    for command in ("orbit", "bratteli", "render"):
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "ietlab.cli", command, "--config", cfg, "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+
 def _unreadable_config(tmp_path):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(b"d = 2\xff\n")

@@ -173,6 +173,9 @@ def test_parse_errors():
         parse_quad("1" + " " * 4000 + "x", 2)
     with pytest.raises(ParseError):
         parse_quad("1/11/2r", 2)  # a denominator run straight into a radical term
+    for text in ("\u0661\u0662", "\uff11\uff12", "1_0"):  # digits are ASCII only
+        with pytest.raises(ParseError, match="not a quadratic number"):
+            parse_quad(text, 2)
 
 
 # The pattern parse_quad matched with before its matching was made linear in

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ietlab import (
+    AdmissibleInterval,
     DegenerateAt,
     OutOfDomain,
     ReturnTimeExceeded,
@@ -19,7 +20,7 @@ from ietlab import (
     shrink_sequence,
     whole_interval,
 )
-from helpers import naive_first_return, random_quad_iet
+from helpers import naive_first_return, random_quad_iet, rauzy_veech
 
 
 def test_whole_interval_is_admissible(sqrt2_iet):
@@ -178,3 +179,13 @@ def test_return_time_budget():
     T = sqrt2_example()
     with pytest.raises(ReturnTimeExceeded):
         induce(T, basic_interval(T, 1), max_steps=1)
+
+
+def test_rauzy_veech_step_matches_induce():
+    # the oracle never walks an orbit, so it checks induce's walks independently
+    rng = random.Random(5)
+    for _ in range(60):
+        T = random_quad_iet(rng, rng.randint(2, 5))
+        sigma, alpha, A, right = rauzy_veech(T)
+        step = induce(T, AdmissibleInterval(orbit_point(T, 0, 0), right))
+        assert (step.induced.sigma, step.induced.alpha, step.A) == (sigma, alpha, A)
