@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ietlab import (
     MixedRadicand,
@@ -132,10 +132,18 @@ def test_approx_of_rationals_rounds_half_to_even(f, digits):
 
 
 @given(any_field_quads, st.integers(min_value=1, max_value=25))
+@example(quad(Fraction(1, 4), 0, 2), 1)  # a tie: the error is exactly half an ulp
 def test_approx_within_half_ulp(x, digits):
-    target = to_mp(x)
-    printed = mpmath.mpf(quad_approx(x, digits))
-    assert abs(printed - target) <= mpmath.mpf(10) ** (-digits) / 2
+    # The rational part of the error is taken exactly, so a tie, whose error
+    # sits on the bound, is not lost to binary rounding of the printed decimal.
+    rational_error = Fraction(quad_approx(x, digits)) - x.a
+    half_ulp = Fraction(1, 2 * 10 ** digits)
+    if not x.b:
+        assert abs(rational_error) <= half_ulp
+    else:
+        error = mpmath.mpf(rational_error.numerator) / rational_error.denominator \
+            - to_mp(quad(0, x.b, x.d))
+        assert abs(error) <= mpmath.mpf(half_ulp.numerator) / half_ulp.denominator
 
 
 @given(quads(2))
