@@ -210,7 +210,9 @@ def _as_quad(value: "QuadReal | RationalLike") -> QuadReal:
 
 def quad(a: RationalLike | Fraction = 0, b: RationalLike | Fraction = 0,
          d: int = 0) -> QuadReal:
-    """Build a + b*sqrt(d) in normal form."""
+    """Build a + b*sqrt(d) in normal form from int or Fraction a, b and an int d."""
+    if not all(isinstance(c, (int, Fraction)) for c in (a, b)) or not isinstance(d, int):
+        raise TypeError("quad takes int or Fraction coefficients and an int radicand")
     a, b = Fraction(a), Fraction(b)
     if d < 0:
         raise ValueError("radicand must be nonnegative")

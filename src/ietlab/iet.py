@@ -150,12 +150,12 @@ def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:
 
 def tiles(pieces: Iterable[tuple[QuadReal, QuadReal]], start: QuadReal, end: QuadReal) -> bool:
     """True iff the nonempty half-open pieces [left, right) cover [start, end) exactly once."""
-    edge = start
-    for left, right in sorted(pieces, key=lambda piece: piece[0]):
-        if left != edge:
-            return False
-        edge = right
-    return edge == end
+    pieces = list(pieces)
+    follow = dict(pieces)  # walk from start, each left end to its right end, each piece once
+    edge, used = start, 0
+    while edge in follow:
+        edge, used = follow.pop(edge), used + 1
+    return edge == end and used == len(pieces)
 
 
 def orbit(T: Iet, x: QuadReal, k_from: int, k_to: int) -> tuple[QuadReal, ...]:

@@ -363,6 +363,8 @@ def strip_coordinates(class_matrix: IntMatrix, vector: Sequence[int]) -> tuple[i
     Solves W w = v by Cramer's rule: w_j is the determinant of W with column
     j replaced by v, divided by det W.
     """
+    if len(vector) != len(class_matrix):
+        raise ValueError("vector does not fit the matrix")
     determinant = det(class_matrix)
     if determinant == 0:
         raise ValueError("matrix is singular")

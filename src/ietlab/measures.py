@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Sequence
 
 from .errors import OutOfDomain
-from .exactnum import QuadReal, quad
+from .exactnum import QuadReal, _as_quad, quad
 from .iet import Iet
 from .induction import InductionStep
 from .intmat import IntMatrix, identity, mat_mul
@@ -124,7 +124,7 @@ def empirical_measure(T: Iet, p: QuadReal | Fraction | int, m: int, n_steps: int
         raise ValueError("window start must be nonnegative")
     if n_steps < 1:
         raise ValueError("window length must be positive")
-    x = quad(p) if not isinstance(p, QuadReal) else p
+    x = _as_quad(p)
     if x < quad(0) or not x < T.total:
         raise OutOfDomain(f"point {x} outside [0, {T.total})")
     counts = [0] * T.n

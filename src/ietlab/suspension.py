@@ -16,7 +16,6 @@ an existing strip.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -354,30 +353,28 @@ def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTab
 def _incidence(previous: tuple[Strip, ...], current: list[Strip]) -> tuple[list[Strip], IntMatrix]:
     """Count current floors per previous floor, check the shape, and relabel by inheritance."""
     n = len(previous)
-    old_floors = sorted(
-        ((f, s.index) for s in previous for f in s.floors), key=lambda fs: fs[0].left
-    )
-    lefts = [f.left for f, _ in old_floors]
-    per_floor: Counter[tuple[int, int]] = Counter()
-    for strip in current:
-        for floor in strip.floors:
-            slot = bisect_right(lefts, floor.left) - 1
-            parent = old_floors[slot][0]
-            if not (parent.left <= floor.left and floor.right <= parent.right):
-                raise ConsistencyViolation("new floor is not inside a single old floor")
-            per_floor[strip.index, slot] += 1
-    # the floor counts of each current strip within each previous strip it meets
-    per_strip: dict[tuple[int, int], list[int]] = {}
-    for (index, slot), count in per_floor.items():
-        per_strip.setdefault((index, old_floors[slot][1]), []).append(count)
-    height = {s.index: s.height for s in previous}
-    raw = [[0] * n for _ in range(n)]
-    for (index, old_index), counts in per_strip.items():
-        if len(set(counts)) != 1:
-            raise ShapeViolation("uneven refinement counts within one old strip")
-        if len(counts) != height[old_index]:
-            raise ShapeViolation("new strip misses floors of an old strip it meets")
-        raw[index - 1][old_index - 1] = counts[0]
+    # _level_strips checked that the current floors tile [0, total): a left end names one floor
+    follow = {f.left: (f.right, s.index) for s in current for f in s.floors}
+    # met[row][col]: floor counts of current strip row + 1 in the floors of previous strip col + 1
+    met: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for old in previous:
+        for parent in old.floors:
+            inside: Counter[int] = Counter()
+            edge = parent.left
+            while edge != parent.right:
+                if edge not in follow:
+                    raise ConsistencyViolation("new floor is not inside a single old floor")
+                edge, index = follow[edge]
+                inside[index] += 1
+            for index, count in inside.items():
+                met[index - 1][old.index - 1].append(count)
+    for row in met:
+        for col, counts in enumerate(row):
+            if len(set(counts)) > 1:
+                raise ShapeViolation("uneven refinement counts within one old strip")
+            if counts and len(counts) != previous[col].height:
+                raise ShapeViolation("new strip misses floors of an old strip it meets")
+    raw = [[counts[0] if counts else 0 for counts in row] for row in met]
     assignment: dict[int, int] = {}
     split_rows = []
     for row in range(n):

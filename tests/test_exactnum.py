@@ -302,6 +302,13 @@ def test_comparison_rejects_other_radicands_and_types():
         radical(2) < 1.5
 
 
+@pytest.mark.parametrize("a, b, d", [(0.1, 0, 0), ("1/3", 0, 0), (0, 1, 2.0)],
+                         ids=["float", "text", "float-radicand"])
+def test_quad_takes_exact_inputs_only(a, b, d):
+    with pytest.raises(TypeError):
+        quad(a, b, d)
+
+
 def test_each_radicand_is_factored_once():
     _square_free.cache_clear()
     operands = [quad(k, 1, 1000003) for k in range(1, 11)]

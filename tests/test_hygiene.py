@@ -1,0 +1,69 @@
+"""Static checks on the package source: no unused import, no unreferenced private name.
+
+Both read the modules with ``ast`` only, so they need no linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "ietlab"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SOURCE.glob("*.py"))}
+
+
+def used_names(tree):
+    """Names loaded or accessed as attributes, including those inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names |= used_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [name.id for target in node.targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py"}))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    assert sorted(set(imported_names(tree)) - used_names(tree)) == []
+
+
+def test_every_private_name_is_referenced():
+    used = set().union(*(used_names(tree) for tree in MODULES.values()))
+    private = {name for tree in MODULES.values() for name in private_definitions(tree)}
+    assert sorted(private - used) == []

@@ -119,9 +119,57 @@ R = radical(2) - 1  # a cut point strictly inside [0, 1)
     ([(quad(0), R), (R / 2, quad(1))], False),  # overlap [R/2, R)
     ([(quad(0), R)], False),  # stops short of 1
     ([], False),
-], ids=["exact", "gap", "overlap", "short", "none"])
+    ([(quad(0), R), (quad(0), quad(1))], False),  # two pieces start at 0
+    ([(quad(0), R), (R, quad(1)), (quad(1), 1 + R)], False),  # runs on past 1
+], ids=["exact", "gap", "overlap", "short", "none", "same-left", "past-end"])
 def test_tiles(pieces, expected):
     assert tiles(pieces, quad(0), quad(1)) is expected
+
+
+def tiles_by_sorting(pieces, start, end):
+    """Reference for ``tiles``: sort by left end, and each piece must start where the last ended."""
+    edge = start
+    for left, right in sorted(pieces, key=lambda piece: piece[0]):
+        if left != edge:
+            return False
+        edge = right
+    return edge == end
+
+
+END = 1 + radical(2)
+
+
+@st.composite
+def tilings(draw):
+    """A shuffled partition of [0, 1 + sqrt 2) into 1-12 pieces, with at most one mutation."""
+    # (p + q sqrt 2) / 12 with p, q in 0..12 lies in [0, END]; only p = q = 0 and p = q = 12 hit an end
+    twelfths = st.integers(0, 12)
+    inner = st.builds(lambda p, q: quad(Fraction(p, 12), Fraction(q, 12), 2), twelfths, twelfths)
+    inner = inner.filter(lambda x: x != 0 and x != END)
+    cuts = [quad(0)] + sorted(draw(st.sets(inner, max_size=11))) + [END]
+    pieces = list(zip(cuts, cuts[1:]))
+    mutation = draw(st.sampled_from(["none", "drop", "duplicate", "move", "past-end"]))
+    k = draw(st.integers(0, len(pieces) - 1))
+    if mutation == "drop":
+        del pieces[k]
+    elif mutation == "duplicate":
+        pieces.append(pieces[k])
+    elif mutation == "move":
+        side = draw(st.integers(0, 1))
+        cut = draw(st.sampled_from([c for c in cuts if c != pieces[k][side]]))
+        pieces[k] = (cut, pieces[k][1]) if side == 0 else (pieces[k][0], cut)
+    elif mutation == "past-end":
+        pieces.append((END, END + draw(st.sampled_from(cuts[1:]))))
+    return mutation, draw(st.permutations(pieces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tilings())
+def test_tiles_matches_sorting(case):
+    mutation, pieces = case
+    assert tiles(pieces, quad(0), END) is tiles_by_sorting(pieces, quad(0), END)
+    if mutation == "none":
+        assert tiles(pieces, quad(0), END)
 
 
 def test_iterate_matches_repeated_apply(sqrt2_iet):

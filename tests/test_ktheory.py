@@ -241,6 +241,11 @@ def test_strip_coordinates_integral(sqrt2_iet, golden_iet):
         strip_coordinates(((1, 2), (2, 4)), (1, 1))
     with pytest.raises(ConsistencyViolation, match="strip coordinates came out fractional"):
         strip_coordinates(((2, 1), (0, 1)), (0, 1))
+    four = four_example()
+    W4 = strip_class_matrix(four, strip_decomposition(four, 1)[0])
+    for matrix, vector in ((W, (1,)), (W, (1, 1, 1)), (W4, (1, 0, 1))):
+        with pytest.raises(ValueError, match="^vector does not fit the matrix$"):
+            strip_coordinates(matrix, vector)
 
 
 @pytest.mark.parametrize("incidence", [((1, 0), (0, 1)), ((1, 1), (1, 1)), None],

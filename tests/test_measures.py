@@ -105,3 +105,8 @@ def test_empirical_measure_domain_check(sqrt2_iet):
 def test_empirical_measure_accepts_fraction_point(sqrt2_iet):
     vector = empirical_measure(sqrt2_iet, Fraction(1, 10), 0, 50)
     assert sum(vector.normalized) == 1
+
+
+def test_empirical_measure_rejects_a_float_point(sqrt2_iet):
+    with pytest.raises(TypeError):
+        empirical_measure(sqrt2_iet, 0.25, 0, 10)

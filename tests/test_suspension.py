@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import permutations as all_permutations
 
@@ -5,10 +6,13 @@ import pytest
 
 from ietlab import (
     ClosedTransversalRequired,
+    ConsistencyViolation,
     DepthExceeded,
     NotVerifiedIDOC,
     Permutation,
+    QuadReal,
     Reducible,
+    ShapeViolation,
     iet_new,
     irreducible,
     mat_mul,
@@ -18,6 +22,7 @@ from ietlab import (
     singularity_profile,
     strip_decomposition,
 )
+from ietlab.suspension import _incidence
 from helpers import four_example, golden_example, sqrt2_example
 
 
@@ -162,6 +167,62 @@ def test_incidence_is_identity_plus_unit(sqrt2_iet):
                if i != j and M[i][j]]
         assert all(M[i][i] == 1 for i in range(len(M)))
         assert len(off) == 1 and M[off[0][0]][off[0][1]] == 1
+
+
+NOT_INSIDE = (ConsistencyViolation, "new floor is not inside a single old floor")
+NO_SPLIT = (ShapeViolation, "0 strips split, expected exactly one")
+
+
+@pytest.mark.parametrize("example, previous, current, error", [
+    (sqrt2_example, 1, 0, NOT_INSIDE),
+    (sqrt2_example, 2, 1, NOT_INSIDE),
+    (golden_example, 1, 0, NOT_INSIDE),
+    (golden_example, 2, 1, NOT_INSIDE),
+    (four_example, 1, 0, NOT_INSIDE),
+    (four_example, 2, 1, NOT_INSIDE),
+    (sqrt2_example, 0, 2, (ShapeViolation, "aligned incidence matrix is not identity plus one unit")),
+    (golden_example, 0, 2, (ShapeViolation, "2 strips split, expected exactly one")),
+    (four_example, 0, 2, (ShapeViolation, "strip meets 3 previous strips")),
+    (sqrt2_example, 3, 3, NO_SPLIT),
+    (golden_example, 3, 3, NO_SPLIT),
+    (four_example, 3, 3, NO_SPLIT),
+], ids=["sqrt2-1-0", "sqrt2-2-1", "golden-1-0", "golden-2-1", "four-1-0", "four-2-1",
+        "sqrt2-0-2", "golden-0-2", "four-0-2", "sqrt2-3-3", "golden-3-3", "four-3-3"])
+def test_incidence_rejects_mismatched_levels(example, previous, current, error):
+    levels = strip_decomposition(example(), 5)
+    kind, message = error
+    with pytest.raises(kind, match=f"^{message}$"):
+        _incidence(levels[previous].strips, list(levels[current].strips))
+
+
+@pytest.mark.parametrize("source, target", [(1, 0), (0, 1)], ids=["2-to-1", "1-to-2"])
+def test_incidence_rejects_a_moved_floor(sqrt2_iet, source, target):
+    # the first floor of one strip moves to the top of the other, so the floors still tile;
+    # moving strip 1's floor also leaves uneven counts, but new strip 1's pairs are checked first
+    levels = strip_decomposition(sqrt2_iet, 2)
+    moved = list(levels[1].strips)
+    floors = moved[source].floors
+    moved[target] = dataclasses.replace(moved[target], floors=moved[target].floors + floors[:1])
+    moved[source] = dataclasses.replace(moved[source], floors=floors[1:])
+    with pytest.raises(ShapeViolation, match="^new strip misses floors of an old strip it meets$"):
+        _incidence(levels[0].strips, moved)
+
+
+def test_strip_levels_compare_few_times(monkeypatch):
+    # tiling and incidence match floor ends by equality, so only the walks and markers compare
+    maps = [sqrt2_example(), golden_example(), four_example()]
+    calls = 0
+    compare = QuadReal._compare
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(QuadReal, "_compare", counted)
+    for T in maps:
+        strip_decomposition(T, 8)
+    assert calls <= 30_000
 
 
 def test_strips_require_closed_transversal():
