@@ -11,7 +11,8 @@ under T, floor by floor, until they run into the marked span of some
 separation point.  Raising K refines the decomposition, and consecutive
 levels are connected by an incidence matrix that is the identity plus one
 off-diagonal unit: exactly one strip splits, and one of the two pieces joins
-an existing strip.
+an existing strip.  The levels deepen one orbit table: each walks only the
+orbit points past the depth of the level before it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ShapeViolation,
 )
 from .exactnum import QuadReal, _clipped, quad
-from .iet import Iet, Permutation, idoc_check, irreducible, tiles
+from .iet import Iet, Permutation, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze, identity_plus_unit
 
@@ -210,14 +211,25 @@ MarkerTable = dict[tuple[int, int], Marker]
 
 
 class _OrbitCache:
-    """Forward orbit of 0 as the walk indexes it, with separation-point and injectivity guards."""
+    """Orbits of 0 and of beta(1..n-1), each walked once and deepened level by level.
+
+    T is injective.  So the first repeat of the orbit of 0 is a return to 0,
+    whose predecessor T^-1(0) = beta(sigma^-1(1) - 1) is a separation point
+    for irreducible sigma: the separation guard leaves no repeat to test.
+    And T^k beta(i) = T^m beta(j), k > m, holds exactly when T^(k-m) beta(i)
+    = beta(j): the distinct-orbit test only looks for separation points.
+    """
 
     def __init__(self, T: Iet, max_steps: int) -> None:
+        self.T = T
         self.max_steps = max_steps
         self.orbit = islice(T.walk(quad(0)), max_steps + 1)
         self.points: list[tuple[int, QuadReal]] = []
-        self.seen: set[QuadReal] = set()
         self.separation = set(T.beta[1:-1])
+        self.separation_orbits = [islice(T.walk(x), 1, None) for x in T.beta[1:-1]]
+        self.distinct_depth = self.marker_depth = 0
+        # (primed, i) -> [highest, lowest] (exponent, point) in I(i), or in I'(i) when primed
+        self.extremes: dict[tuple[bool, int], list[tuple[int, QuadReal]]] = {}
 
     def point(self, k: int) -> tuple[int, QuadReal]:
         """(i, T^k(0)) with T^k(0) in I(i)."""
@@ -225,53 +237,46 @@ class _OrbitCache:
             step = next(self.orbit, None)
             if step is None:
                 raise DepthExceeded(f"orbit of 0 longer than {self.max_steps} steps")
-            x = step[1]
-            if x in self.separation:
+            if step[1] in self.separation:
                 raise NotVerifiedIDOC(
                     f"orbit of 0 hits a separation point at exponent {len(self.points)}"
                 )
-            if x in self.seen:
-                raise NotVerifiedIDOC(f"orbit of 0 repeats at exponent {len(self.points)}")
-            self.seen.add(x)
             self.points.append(step)
         return self.points[k]
 
-
-def _markers_for(T: Iet, cache: _OrbitCache, K: int) -> tuple[MarkerTable, MarkerTable]:
-    n = T.n
-    plain: dict[int, list[tuple[int, QuadReal]]] = {i: [] for i in range(1, n + 1)}
-    primed: dict[int, list[tuple[int, QuadReal]]] = {i: [] for i in range(1, n + 1)}
-    for k in range(1, K + 1):
-        i, x = cache.point(k)
-        plain[i].append((k, x))
-    for k in range(2, K + 2):
-        x = cache.point(k)[1]
-        primed[T.image_interval_index(x)].append((k, x))
-    tables: list[MarkerTable] = []
-    for source, is_primed in ((plain, False), (primed, True)):
-        for i in range(1, n + 1):
-            if not source[i]:
-                raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
-        table: MarkerTable = {}
-        for i in range(n + 1):
+    def deepen(self, K: int) -> tuple[MarkerTable, MarkerTable]:
+        """Test distinct orbits below depth K + 1, then give the marker tables at depth K."""
+        while self.distinct_depth <= K:
+            self.distinct_depth += 1
+            if any(next(orbit)[1] in self.separation for orbit in self.separation_orbits):
+                raise NotVerifiedIDOC(
+                    f"distinct-orbit check failed below depth {K + 1}: orbit collision")
+        T, extremes = self.T, self.extremes
+        for k in range(self.marker_depth + 1, K + 1):
+            (i, x), (_, y) = self.point(k), self.point(k + 1)
+            for key, kx in (((False, i), (k, x)), ((True, T.image_interval_index(y)), (k + 1, y))):
+                pair = extremes.setdefault(key, [kx, kx])
+                if pair[0][1] < kx[1]:
+                    pair[0] = kx
+                elif kx[1] < pair[1][1]:
+                    pair[1] = kx
+        self.marker_depth = K
+        tables: list[MarkerTable] = []
+        for primed in (False, True):
+            for i in range(1, T.n + 1):
+                if (primed, i) not in extremes:
+                    raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
             # delta 0: the largest point of interval i; delta 1: the smallest of interval i + 1
-            for delta, extreme in ((0, max), (1, min)):
-                if i + delta in source:
-                    k, x = extreme(source[i + delta], key=lambda kx: kx[1])
-                    table[(delta, i)] = Marker(delta, i, k, x, is_primed)
-        tables.append(table)
-    markers, primed_markers = tables
-    if {T.apply(m.value) for m in markers.values()} != {m.value for m in primed_markers.values()}:
-        raise ConsistencyViolation("primed markers are not the T-images of the markers")
-    return markers, primed_markers
+            tables.append({(delta, i): Marker(delta, i, *extremes[(primed, i + delta)][delta], primed)
+                           for i in range(T.n + 1) for delta in (0, 1) if 0 < i + delta <= T.n})
+        plain, prime = tables
+        if {T.apply(m.value) for m in plain.values()} != {m.value for m in prime.values()}:
+            raise ConsistencyViolation("primed markers are not the T-images of the markers")
+        return plain, prime
 
 
-def _flow_strip(
-    T: Iet,
-    cache: _OrbitCache,
-    bottom: tuple[QuadReal, QuadReal, int, int],
-    spans: list[tuple[int, QuadReal, QuadReal]],
-) -> tuple[list[Floor], list[int]]:
+def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[QuadReal, QuadReal, int, int],
+                spans: list[tuple[QuadReal, QuadReal]]) -> tuple[list[Floor], list[int]]:
     """Flow a bottom (left, right, exponents) forward until it lands inside a marked span."""
     start, end, left_exponent, right_exponent = bottom
     floors: list[Floor] = []
@@ -279,13 +284,14 @@ def _flow_strip(
     width = end - start
     for step, (i, left) in enumerate(islice(T.walk(start, width), cache.max_steps)):
         right = left + width
-        floor = Floor(left, right, left_exponent + step, right_exponent + step,
-                      i if right <= T.beta[i] else None)
-        if step and not (left == cache.point(floor.left_exponent)[1]
-                         and right == cache.point(floor.right_exponent)[1]):
+        if step and not (left == cache.point(left_exponent + step)[1]
+                         and right == cache.point(right_exponent + step)[1]):
             raise ConsistencyViolation("floor endpoints left the orbit of 0")
-        floors.append(floor)
-        if any(lo <= left and right <= hi for _, lo, hi in spans):
+        landed = any(lo <= left and right <= hi for lo, hi in spans)
+        # the walk tests a floor against beta(i) before stepping it, so only the top needs it here
+        floors.append(Floor(left, right, left_exponent + step, right_exponent + step,
+                            i if not landed or right <= T.beta[i] else None))
+        if landed:
             return floors, word
         word.append(i)
     raise DepthExceeded(f"strip did not close within {cache.max_steps} floors")
@@ -293,7 +299,7 @@ def _flow_strip(
 
 def _level_strips(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTable) -> list[Strip]:
     n = T.n
-    spans = [(j, plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
+    spans = [(plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
     j0 = T.sigma(1) - 1
     bottoms = [
         (quad(0), plain[(1, 0)].value, 0, plain[(1, 0)].exponent),
@@ -344,7 +350,7 @@ def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTab
         for j in range(1, n):
             if plain[(0, j)].value < z < plain[(1, j)].value:
                 return m, m + 1 if T.sigma(i) == (n if i == j else 1) else m
-        # z lies in [0, total) and is not 0, which the cache would reject as a repeat
+        # z lies in (0, total): a return to 0 would follow T^-1(0), which the cache rejects
         if z < left_col or right_col < z:
             return m, m
     raise DepthExceeded(f"no landing below {cache.max_steps} orbit steps")
@@ -429,23 +435,12 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
             raw, K = _next_depth(T, cache, markers, primed)
             if K <= out[-1].K:
                 raise ConsistencyViolation("strip depth failed to increase")
-        report = idoc_check(T, K + 1)
-        if not report.verified:
-            raise NotVerifiedIDOC(f"distinct-orbit check failed below depth {K + 1}: {report.reason}")
-        markers, primed = _markers_for(T, cache, K)
+        markers, primed = cache.deepen(K)
         strips = _level_strips(T, cache, markers, primed)
         incidence: IntMatrix | None = None
         if out:
             strips, incidence = _incidence(out[-1].strips, strips)
-        out.append(
-            StripLevel(
-                level=level,
-                raw_K=raw,
-                K=K,
-                markers=tuple(markers.values()),
-                primed_markers=tuple(primed.values()),
-                strips=tuple(strips),
-                incidence_to_previous=incidence,
-            )
-        )
+        out.append(StripLevel(level=level, raw_K=raw, K=K, markers=tuple(markers.values()),
+                              primed_markers=tuple(primed.values()), strips=tuple(strips),
+                              incidence_to_previous=incidence))
     return tuple(out)

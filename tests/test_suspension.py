@@ -1,6 +1,11 @@
 import dataclasses
+import hashlib
+import json
+import random
+import re
 from fractions import Fraction
 from itertools import permutations as all_permutations
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +13,17 @@ from ietlab import (
     ClosedTransversalRequired,
     ConsistencyViolation,
     DepthExceeded,
+    IetlabError,
     NotVerifiedIDOC,
     Permutation,
     QuadReal,
     Reducible,
     ShapeViolation,
+    idoc_check,
     iet_new,
     irreducible,
     mat_mul,
+    parse_quad,
     permutation,
     quad,
     radical,
@@ -23,7 +31,7 @@ from ietlab import (
     strip_decomposition,
 )
 from ietlab.suspension import _incidence
-from helpers import four_example, golden_example, sqrt2_example
+from helpers import four_example, golden_example, random_irreducible, sqrt2_example
 
 
 def test_sigma0_two_interval():
@@ -222,7 +230,7 @@ def test_strip_levels_compare_few_times(monkeypatch):
     monkeypatch.setattr(QuadReal, "_compare", counted)
     for T in maps:
         strip_decomposition(T, 8)
-    assert calls <= 30_000
+    assert calls <= 16_000
 
 
 def test_strips_require_closed_transversal():
@@ -263,3 +271,101 @@ def test_strips_small_budgets_fail_only_on_depth():
             except DepthExceeded:
                 continue
             assert len(levels) == 6
+
+
+@pytest.mark.parametrize("images, d, alpha, depth, first", [
+    ((4, 1, 2, 3), 2, "1/1-1/6r, 1/3+2/7r, 2/1-1/3r, 8/5+3/7r", 15, 2),
+    ((2, 3, 4, 1), 0, "3/2, 2/5, 1/1, 1/3", 21, 3),
+    ((5, 1, 2, 3, 4), 2, "1/2, 1/1, 1/6+3/7r, 7/3-1/1r, 2/1+1/3r", 24, 2),
+    # four levels pass; the fifth (K = 33) is the first whose depth K + 1 reaches the collision
+    ((3, 1, 2), 2, "1/1, 2/1-1/5r, 5/1+1/4r", 34, 34),
+], ids=["four-sqrt2", "four-rational", "five-sqrt2", "three-at-level-5"])
+def test_strips_report_orbit_collisions_at_their_depth(images, d, alpha, depth, first):
+    # ``first`` is the least depth at which idoc_check finds a collision
+    T = iet_new(Permutation(images), [parse_quad(part.strip(), d) for part in alpha.split(",")])
+    message = f"distinct-orbit check failed below depth {depth}: orbit collision"
+    with pytest.raises(NotVerifiedIDOC, match=f"^{message}$"):
+        strip_decomposition(T, 6)
+    assert idoc_check(T, first - 1).verified and not idoc_check(T, first).verified
+
+
+def test_strip_distinct_orbit_verdict_matches_idoc_check():
+    # idoc_check searches every pair of separation-orbit points; the strip layer
+    # only asks which orbit points are separation points, which injectivity makes equivalent
+    rng = random.Random(11)
+    r2 = radical(2)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        sigma = random_irreducible(rng, n)
+        while sigma(n) != sigma(1) - 1:
+            sigma = random_irreducible(rng, n)
+        lengths = [quad(Fraction(rng.randint(2, 6), rng.randint(1, 2)))
+                   + r2 * Fraction(rng.randint(-1, 1), rng.randint(2, 5)) for _ in range(n)]
+        T = iet_new(sigma, lengths)
+        try:
+            levels = strip_decomposition(T, 6, max_steps=400)
+        except NotVerifiedIDOC as error:
+            collision = re.fullmatch(
+                r"distinct-orbit check failed below depth (\d+): orbit collision", str(error))
+            if collision:
+                assert not idoc_check(T, int(collision[1])).verified
+                outcomes.add("collision")
+            continue
+        except IetlabError:
+            continue
+        assert all(idoc_check(T, level.K + 1).verified for level in levels)
+        outcomes.add("levels")
+    assert outcomes == {"collision", "levels"}
+
+
+def test_orbit_of_zero_returns_through_a_separation_point():
+    # T^-1(0) = beta(sigma^-1(1) - 1), and sigma(1) != 1 for irreducible sigma, so the orbit
+    # of 0 meets a separation point before it can repeat
+    checked = 0
+    for n in range(2, 7):
+        for images in all_permutations(range(1, n + 1)):
+            sigma = Permutation(images)
+            if not irreducible(sigma):
+                continue
+            T = iet_new(sigma, [quad(Fraction(k + 1, k + 2)) for k in range(n)])
+            assert T.apply_inverse(quad(0)) in T.beta[1:-1]
+            checked += 1
+    assert checked == 549
+
+
+STRIP_OUTCOMES = Path(__file__).parent / "data" / "strip_outcomes.json"
+STRIP_OUTCOME_MAPS = {
+    "sqrt2": sqrt2_example,
+    "golden": golden_example,
+    "four": four_example,
+    "rational-2": lambda: iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))]),
+    "rational-4": lambda: iet_new(permutation(3, 1, 4, 2), [quad(Fraction(1, 4))] * 4),
+}
+STRIP_OUTCOME_BUDGETS = [*range(1, 60), 100, 200, 400, 10**6]
+
+
+def strip_outcomes():
+    """sha256 of the repr of 6 strip levels, or of "Class: message", per map and budget.
+
+    The stored table was written from a commit whose outcomes were trusted, by
+    running this one line from the repository root:
+
+        PYTHONPATH=src:tests python -c "import json, test_suspension as t; print(json.dumps(t.strip_outcomes(), indent=1))" > tests/data/strip_outcomes.json
+    """
+    table = {}
+    for name, example in STRIP_OUTCOME_MAPS.items():
+        T = example()
+        for max_steps in STRIP_OUTCOME_BUDGETS:
+            try:
+                text = repr(strip_decomposition(T, 6, max_steps=max_steps))
+            except IetlabError as error:
+                text = f"{type(error).__name__}: {error}"
+            table[f"{name} {max_steps}"] = hashlib.sha256(text.encode()).hexdigest()
+    return table
+
+
+def test_strip_outcomes_match_the_stored_table():
+    stored = json.loads(STRIP_OUTCOMES.read_text(encoding="utf-8"))
+    assert len(stored) == 315
+    assert strip_outcomes() == stored
