@@ -153,7 +153,7 @@ class Certificate:
 def unique_ergodicity_certificate(chain: Sequence[InductionStep], required_blocks: int) -> Certificate:
     """Scan the chain greedily for disjoint ranges with entrywise positive products.
 
-    Ranges are half-open-free index pairs ``(i, j)`` into ``chain`` meaning
+    Ranges are inclusive index pairs ``(i, j)`` into ``chain`` meaning
     the product ``A_i ... A_j``.  The greedy scan (close each block at the
     first index that makes it positive) maximizes the number of disjoint
     blocks found.

@@ -11,8 +11,8 @@ under T, floor by floor, until they run into the marked span of some
 separation point.  Raising K refines the decomposition, and consecutive
 levels are connected by an incidence matrix that is the identity plus one
 off-diagonal unit: exactly one strip splits, and one of the two pieces joins
-an existing strip.  The levels deepen one orbit table: each walks only the
-orbit points past the depth of the level before it.
+an existing strip.  Markers and floors read their orbit points of 0 from one
+table, the layer's only walks, which each level deepens past the last depth.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ MarkerTable = dict[tuple[int, int], Marker]
 
 
 class _OrbitCache:
-    """Orbits of 0 and of beta(1..n-1), each walked once and deepened level by level.
+    """Orbits of 0 and of beta(1..n-1): the strip layer's only walks, deepened level by level.
 
+    Depths, markers and strip floors all read the orbit of 0 from ``point``.
     T is injective.  So the first repeat of the orbit of 0 is a return to 0,
     whose predecessor T^-1(0) = beta(sigma^-1(1) - 1) is a separation point
     for irreducible sigma: the separation guard leaves no repeat to test.
@@ -254,7 +255,7 @@ class _OrbitCache:
         T, extremes = self.T, self.extremes
         for k in range(self.marker_depth + 1, K + 1):
             (i, x), (_, y) = self.point(k), self.point(k + 1)
-            for key, kx in (((False, i), (k, x)), ((True, T.image_interval_index(y)), (k + 1, y))):
+            for key, kx in (((False, i), (k, x)), ((True, T.sigma(i)), (k + 1, y))):
                 pair = extremes.setdefault(key, [kx, kx])
                 if pair[0][1] < kx[1]:
                     pair[0] = kx
@@ -275,24 +276,29 @@ class _OrbitCache:
         return plain, prime
 
 
-def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[QuadReal, QuadReal, int, int],
+def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int],
                 spans: list[tuple[QuadReal, QuadReal]]) -> tuple[list[Floor], list[int]]:
-    """Flow a bottom (left, right, exponents) forward until it lands inside a marked span."""
-    start, end, left_exponent, right_exponent = bottom
+    """Read the floors of a bottom (left, right exponents) off the orbit table until one lands.
+
+    Floor s is [T^(l+s)(0), T^(r+s)(0)), with the total length for a right exponent
+    of 0.  A floor the strip steps past must have right <= beta(i); as the table
+    holds no separation point, both ends lie in I(i) and shift by tau(i), so the
+    width is constant.  At the right edge, T(total-) = T(0) as sigma(n) = sigma(1) - 1.
+    """
+    left_exponent, right_exponent = bottom
     floors: list[Floor] = []
     word: list[int] = []
-    width = end - start
-    for step, (i, left) in enumerate(islice(T.walk(start, width), cache.max_steps)):
-        right = left + width
-        if step and not (left == cache.point(left_exponent + step)[1]
-                         and right == cache.point(right_exponent + step)[1]):
-            raise ConsistencyViolation("floor endpoints left the orbit of 0")
+    for step in range(cache.max_steps):
+        i, left = cache.point(left_exponent + step)
+        right = cache.point(right_exponent + step)[1] if right_exponent + step else T.total
         landed = any(lo <= left and right <= hi for lo, hi in spans)
-        # the walk tests a floor against beta(i) before stepping it, so only the top needs it here
+        inside = right <= T.beta[i]
         floors.append(Floor(left, right, left_exponent + step, right_exponent + step,
-                            i if not landed or right <= T.beta[i] else None))
+                            i if inside or not landed else None))
         if landed:
             return floors, word
+        if not inside and step + 1 < cache.max_steps:
+            raise ConsistencyViolation(f"block [{left}, {right}) crosses beta({i})")
         word.append(i)
     raise DepthExceeded(f"strip did not close within {cache.max_steps} floors")
 
@@ -301,18 +307,11 @@ def _level_strips(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerT
     n = T.n
     spans = [(plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
     j0 = T.sigma(1) - 1
-    bottoms = [
-        (quad(0), plain[(1, 0)].value, 0, plain[(1, 0)].exponent),
-        (plain[(0, n)].value, T.total, plain[(0, n)].exponent, 0),
-    ]
-    for j in range(1, n):
-        if j == j0:
-            continue
-        left, right = prime[(0, j)], prime[(1, j)]
-        bottoms.append((left.value, right.value, left.exponent, right.exponent))
+    bottoms = [(0, plain[(1, 0)].exponent), (plain[(0, n)].exponent, 0)]
+    bottoms += [(prime[(0, j)].exponent, prime[(1, j)].exponent) for j in range(1, n) if j != j0]
     if len(bottoms) != n:
         raise ConsistencyViolation(f"expected {n} strip bottoms, found {len(bottoms)}")
-    bottoms.sort(key=lambda bottom: bottom[0])
+    bottoms.sort(key=lambda bottom: cache.point(bottom[0])[1])
     strips = []
     for index, bottom in enumerate(bottoms, start=1):
         floors, word = _flow_strip(T, cache, bottom, spans)

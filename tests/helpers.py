@@ -88,6 +88,22 @@ def rauzy_veech(T: Iet) -> tuple[Permutation, tuple[QuadReal, ...], IntMatrix, O
     return Permutation(tuple(sigma)), tuple(alpha), A, right
 
 
+def rank(matrix) -> int:
+    """Rank over Q by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    found = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for r in range(found + 1, len(rows)):
+            factor = rows[r][col] / rows[found][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[found])]
+        found += 1
+    return found
+
+
 def random_irreducible(rng, n: int) -> Permutation:
     while True:
         images = list(range(1, n + 1))

@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations as all_permutations
 
 import pytest
 
@@ -8,6 +8,7 @@ from ietlab import (
     ConsistencyViolation,
     GroupElement,
     HorizonExceedsDepth,
+    Permutation,
     ShapeViolation,
     basic_interval,
     bratteli,
@@ -16,6 +17,7 @@ from ietlab import (
     dimension_group,
     dual_cone_test,
     export_bratteli,
+    irreducible,
     l_sigma,
     mat_mul,
     orbit_classes,
@@ -23,13 +25,14 @@ from ietlab import (
     positivity,
     quad,
     shrink_sequence,
+    singularity_profile,
     strip_class_matrix,
     strip_coordinates,
     strip_decomposition,
     towers,
     whole_interval,
 )
-from helpers import four_example
+from helpers import four_example, rank
 
 
 def test_towers_sqrt2(sqrt2_iet):
@@ -164,6 +167,22 @@ def test_l_sigma_identity_is_zero():
     assert result.matrix == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
     assert result.det == 0
     assert not result.invertible
+
+
+def test_l_sigma_rank_is_twice_the_genus():
+    # rank L_sigma = 2g, and its kernel has one dimension fewer than there are singularities
+    checked = 0
+    for n in range(2, 8):
+        for images in all_permutations(range(1, n + 1)):
+            sigma = Permutation(images)
+            if not irreducible(sigma):
+                continue
+            profile = singularity_profile(sigma)
+            r = rank(l_sigma(sigma).matrix)
+            assert r == 2 * profile.genus
+            assert n - r == len(profile.singularities) - 1
+            checked += 1
+    assert checked == 3996
 
 
 def test_l_sigma_antisymmetry():

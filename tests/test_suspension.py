@@ -23,6 +23,7 @@ from ietlab import (
     iet_new,
     irreducible,
     mat_mul,
+    orbit,
     parse_quad,
     permutation,
     quad,
@@ -150,13 +151,27 @@ def test_floors_tile_the_interval(sqrt2_iet):
         assert edge == sqrt2_iet.total
 
 
-def test_consecutive_floors_are_images(sqrt2_iet):
-    level = strip_decomposition(sqrt2_iet, 1)[0]
-    for strip in level.strips:
-        for below, above in zip(strip.floors, strip.floors[1:]):
-            assert sqrt2_iet.apply(below.left) == above.left
-        for floor, i in zip(strip.floors, strip.visit_word):
-            assert floor.interval == i
+def test_consecutive_floors_are_images():
+    # the strip layer reads floors from its orbit table; here the orbit is walked afresh
+    for T in (sqrt2_example(), golden_example(), four_example()):
+        levels = strip_decomposition(T, 8)
+        floors = [floor for level in levels for strip in level.strips for floor in strip.floors]
+        # strips flow past the marker depth K, so the walk goes to the highest floor exponent
+        depth = max(levels[-1].K + 1, *(max(f.left_exponent, f.right_exponent) for f in floors))
+        points = orbit(T, quad(0), 0, depth)
+        for level in levels:
+            for strip in level.strips:
+                assert len({floor.right - floor.left for floor in strip.floors}) == 1
+                for floor in strip.floors:
+                    assert floor.left == points[floor.left_exponent]
+                    assert floor.right == (points[floor.right_exponent] if floor.right_exponent
+                                           else T.total)
+                for below, above in zip(strip.floors, strip.floors[1:]):
+                    assert T.apply(below.left) == above.left
+                for floor, i in zip(strip.floors, strip.visit_word):
+                    assert floor.interval == i
+        for k in range(depth):
+            assert T.image_interval_index(points[k + 1]) == T.sigma(T.interval_index(points[k]))
 
 
 def test_floor_interval_is_the_interval_containing_it(sqrt2_iet):
@@ -230,7 +245,7 @@ def test_strip_levels_compare_few_times(monkeypatch):
     monkeypatch.setattr(QuadReal, "_compare", counted)
     for T in maps:
         strip_decomposition(T, 8)
-    assert calls <= 16_000
+    assert calls <= 11_500
 
 
 def test_strips_require_closed_transversal():
