@@ -12,6 +12,7 @@ invariant measures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -58,29 +59,22 @@ class TowerPartition:
 
 
 def towers(T: Iet, Y: AdmissibleInterval, max_steps: int = DEFAULT_MAX_STEPS) -> TowerPartition:
-    """Build the first-return towers of T over the admissible window Y."""
+    """Build the first-return towers of T over the admissible window Y.
+
+    Tower l stands on [Y.left + beta'(l-1), Y.left + beta'(l)), beta' being the
+    induced map's ends.  Its top floor is [landing_l, landing_l + alpha'_l) from
+    the same walk ``induce`` ran, which already checked that the landings tile Y
+    and the Kac identity; only the tiling of the interval by all floors is new.
+    """
     step = induce(T, Y, max_steps=max_steps)
-    induced = step.induced
+    ends = [Y.left + b for b in step.induced.beta]
     result = []
-    for l in range(1, induced.n + 1):
-        base_left = Y.left + induced.beta[l - 1]
-        base_right = Y.left + induced.beta[l]
-        width = base_right - base_left
-        height = step.return_times[l - 1]
-        floors = tuple((x, x + width) for _, x in islice(T.walk(base_left, width), 1, height + 1))
-        result.append(Tower(l, base_left, base_right, height, floors))
-    _check_tower_partition(T, Y, result)
-    return TowerPartition(Y=Y, towers=tuple(result), algebra_dims=tuple(t.height for t in result))
-
-
-def _check_tower_partition(T: Iet, Y: AdmissibleInterval, result: list[Tower]) -> None:
-    if not tiles((t.floors[-1] for t in result), Y.left, Y.right):
-        raise ConsistencyViolation("tower tops do not tile the window")
+    for l, (width, height) in enumerate(zip(step.induced.alpha, step.return_times), start=1):
+        floors = tuple((x, x + width) for _, x in islice(T.walk(ends[l - 1], width), 1, height + 1))
+        result.append(Tower(l, ends[l - 1], ends[l], height, floors))
     if not tiles((f for t in result for f in t.floors), quad(0), T.total):
         raise ConsistencyViolation("tower floors do not tile the interval")
-    kac = sum((t.base_right - t.base_left) * t.height for t in result)
-    if kac != T.total:
-        raise ConsistencyViolation("return times fail the Kac identity")
+    return TowerPartition(Y=Y, towers=tuple(result), algebra_dims=tuple(t.height for t in result))
 
 
 @dataclass(frozen=True)
@@ -103,47 +97,51 @@ def bratteli(chain: Sequence[InductionStep], max_steps: int = DEFAULT_MAX_STEPS)
     Every edge matrix is verified independently: each deep tower base is
     walked under the original map for one full return, counting how often
     the block passes through each tower of the previous level; the counts
-    must reproduce the chain's transition matrix entry by entry.
+    must reproduce the chain's transition matrix entry by entry.  Both
+    levels are read as absolute tower-base ends in the original map's
+    coordinates, so each walked block is located by one bisection.
     """
     if not chain:
         raise ValueError("bratteli needs a nonempty chain")
     T = chain[0].parent
-    n = T.n
-    for k, step in enumerate(chain):
-        prev_origin = chain[k - 1].origin if k else quad(0)
-        _verify_edge(T, step, prev_origin, max_steps)
+    origin = quad(0)
+    for step in chain:
+        prev = [origin + b for b in step.parent.beta]
+        origin = step.origin
+        _verify_edge(T, step.A, prev, [origin + b for b in step.induced.beta], max_steps)
     levels = tuple(
-        BratteliLevel(rank=n, labels=tuple(f"L{k}_V{i}" for i in range(1, n + 1)))
+        BratteliLevel(rank=T.n, labels=tuple(f"L{k}_V{i}" for i in range(1, T.n + 1)))
         for k in range(len(chain) + 1)
     )
     return BratteliDiagram(levels=levels, edges=tuple(step.A for step in chain))
 
 
-def _verify_edge(T: Iet, step: InductionStep, prev_origin: QuadReal, max_steps: int) -> None:
-    prev = step.parent
-    cur = step.induced
-    cur_origin = step.origin
-    for m in range(1, cur.n + 1):
-        width = cur.alpha[m - 1]
-        counts = [0] * prev.n
-        walk = T.walk(cur_origin + cur.beta[m - 1], width)
-        for t, (_, x) in enumerate(islice(walk, max_steps)):
-            if t >= 1 and cur_origin <= x and x + width <= cur_origin + cur.total:
+def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal], max_steps: int) -> None:
+    """Walk each base [cur[m-1], cur[m]) under T to its return into [cur[0], cur[-1]).
+
+    prev and cur are the absolute base ends of the previous and current
+    level.  A block inside [prev[0], prev[-1]) must lie in one previous
+    base, which counts towards column m of A; a block meeting it otherwise
+    straddles the window or a base.
+    """
+    for m in range(1, len(cur)):
+        width = cur[m] - cur[m - 1]
+        counts = [0] * (len(prev) - 1)
+        for t, (_, x) in enumerate(islice(T.walk(cur[m - 1], width), max_steps)):
+            right = x + width
+            if t and cur[0] <= x and right <= cur[-1]:
                 break
-            if prev_origin <= x and x + width <= prev_origin + prev.total:
-                l = prev.interval_index(x - prev_origin)
-                if not x - prev_origin + width <= prev.beta[l]:
-                    raise ConsistencyViolation("walk block straddles a previous tower base")
+            l = bisect_right(prev, x)
+            if 0 < l < len(prev) and right <= prev[l]:
                 counts[l - 1] += 1
-            elif x < prev_origin + prev.total and prev_origin < x + width:
-                raise ConsistencyViolation("walk block straddles the previous window")
+            elif l < len(prev) and (l > 0 or prev[0] < right):  # the block meets [prev[0], prev[-1])
+                where = "the previous window" if l == 0 or prev[-1] < right else "a previous tower base"
+                raise ConsistencyViolation(f"walk block straddles {where}")
         else:
             raise ReturnTimeExceeded(f"no return within {max_steps} steps")
-        if counts != [step.A[l][m - 1] for l in range(prev.n)]:
-            raise ConsistencyViolation(
-                f"tower walk column {m} gives {counts}, matrix says"
-                f" {[step.A[l][m - 1] for l in range(prev.n)]}"
-            )
+        column = [A[l][m - 1] for l in range(len(counts))]
+        if counts != column:
+            raise ConsistencyViolation(f"tower walk column {m} gives {counts}, matrix says {column}")
 
 
 def export_bratteli(diagram: BratteliDiagram) -> str:

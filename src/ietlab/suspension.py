@@ -281,9 +281,10 @@ def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int],
     """Read the floors of a bottom (left, right exponents) off the orbit table until one lands.
 
     Floor s is [T^(l+s)(0), T^(r+s)(0)), with the total length for a right exponent
-    of 0.  A floor the strip steps past must have right <= beta(i); as the table
-    holds no separation point, both ends lie in I(i) and shift by tau(i), so the
-    width is constant.  At the right edge, T(total-) = T(0) as sigma(n) = sigma(1) - 1.
+    of 0; in I(i) it can land only in the spans of beta(i-1) and beta(i).  A floor
+    the strip steps past must have right <= beta(i); as the table holds no separation
+    point, both ends lie in I(i) and shift by tau(i), so the width is constant.  At
+    the right edge, T(total-) = T(0) as sigma(n) = sigma(1) - 1.
     """
     left_exponent, right_exponent = bottom
     floors: list[Floor] = []
@@ -291,7 +292,7 @@ def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int],
     for step in range(cache.max_steps):
         i, left = cache.point(left_exponent + step)
         right = cache.point(right_exponent + step)[1] if right_exponent + step else T.total
-        landed = any(lo <= left and right <= hi for lo, hi in spans)
+        landed = any(lo <= left and right <= hi for lo, hi in spans[max(i - 2, 0):i])
         inside = right <= T.beta[i]
         floors.append(Floor(left, right, left_exponent + step, right_exponent + step,
                             i if inside or not landed else None))
@@ -346,7 +347,7 @@ def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTab
     right_col = plain[(0, n)].value
     for m in range(start + 1, cache.max_steps):
         i, z = cache.point(m)
-        for j in range(1, n):
+        for j in range(max(i - 1, 1), min(i + 1, n)):
             if plain[(0, j)].value < z < plain[(1, j)].value:
                 return m, m + 1 if T.sigma(i) == (n if i == j else 1) else m
         # z lies in (0, total): a return to 0 would follow T^-1(0), which the cache rejects

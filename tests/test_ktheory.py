@@ -1,14 +1,19 @@
 import dataclasses
+import random
+import re
 from fractions import Fraction
 from itertools import islice, permutations as all_permutations
 
 import pytest
 
 from ietlab import (
+    DEFAULT_MAX_STEPS,
     ConsistencyViolation,
     GroupElement,
     HorizonExceedsDepth,
     Permutation,
+    QuadReal,
+    ReturnTimeExceeded,
     ShapeViolation,
     basic_interval,
     bratteli,
@@ -17,6 +22,7 @@ from ietlab import (
     dimension_group,
     dual_cone_test,
     export_bratteli,
+    iet_new,
     irreducible,
     l_sigma,
     mat_mul,
@@ -32,7 +38,7 @@ from ietlab import (
     towers,
     whole_interval,
 )
-from helpers import four_example, rank
+from helpers import four_example, golden_example, rank, sqrt2_example
 
 
 def test_towers_sqrt2(sqrt2_iet):
@@ -77,6 +83,54 @@ def test_bratteli_edges_are_chain_matrices(sqrt2_iet):
     assert len(diagram.levels) == len(chain) + 1
     assert diagram.edges == tuple(step.A for step in chain)
     assert diagram.levels[0].labels == ("L0_V1", "L0_V2")
+
+
+def _moved_entry(chain):
+    (a, b), (c, d) = chain[2].A
+    chain[2] = dataclasses.replace(chain[2], A=((a + 1, b), (c - 1, d)))
+
+
+def _shifted_origin(k, shift):
+    def edit(chain):
+        chain[k] = dataclasses.replace(chain[k], origin=chain[k].origin + shift)
+    return edit
+
+
+@pytest.mark.parametrize("y0, edit, max_steps, error, message", [
+    (Fraction(1, 10), _moved_entry, DEFAULT_MAX_STEPS, ConsistencyViolation,
+     "tower walk column 1 gives [1, 0], matrix says [2, -1]"),
+    (Fraction(1, 10), None, 2, ReturnTimeExceeded, "no return within 2 steps"),
+    (Fraction(1, 10), _shifted_origin(0, Fraction(1, 100)), DEFAULT_MAX_STEPS,
+     ConsistencyViolation, "walk block straddles a previous tower base"),
+    (Fraction(1, 2), _shifted_origin(2, Fraction(-1, 100)), DEFAULT_MAX_STEPS,
+     ConsistencyViolation, "walk block straddles the previous window"),
+], ids=["moved-entry", "max-steps", "previous-base", "previous-window"])
+def test_bratteli_recount_rejects_a_broken_chain(sqrt2_iet, y0, edit, max_steps, error, message):
+    chain = shrink_sequence(sqrt2_iet, quad(y0), 4)
+    if edit:
+        edit(chain)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        bratteli(chain, max_steps)
+
+
+def test_bratteli_recount_adds_few_times(monkeypatch):
+    # one lookup on absolute base ends per walked block, no per-step change of coordinates
+    chains = [shrink_sequence(T, quad(Fraction(1, 10)), 8)
+              for T in (sqrt2_example(), golden_example(), four_example())]
+    calls = 0
+
+    def counting(op):
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return op(self, other)
+        return counted
+
+    monkeypatch.setattr(QuadReal, "__add__", counting(QuadReal.__add__))
+    monkeypatch.setattr(QuadReal, "__sub__", counting(QuadReal.__sub__))
+    for chain in chains:
+        bratteli(chain)
+    assert calls <= 8_000
 
 
 def test_bratteli_export_format(sqrt2_iet):
@@ -195,6 +249,24 @@ def test_l_sigma_antisymmetry():
 def test_coinvariant_shift_formula():
     assert coinvariant_shift(permutation(2, 1), 1) == (0, 1)
     assert coinvariant_shift(permutation(2, 1), 2) == (-1, 0)
+
+
+def test_translations_are_l_sigma_transpose_times_lengths():
+    # tau = L_sigma^T alpha: the class shift of interval i is column i of L_sigma
+    rng = random.Random(13)
+    checked = 0
+    for n in range(2, 7):
+        for images in all_permutations(range(1, n + 1)):
+            sigma = Permutation(images)
+            L = l_sigma(sigma).matrix
+            alpha = [quad(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                          Fraction(rng.randint(1, 9), rng.randint(1, 9)), 2) for _ in range(n)]
+            T = iet_new(sigma, alpha)
+            for i in range(1, n + 1):
+                assert coinvariant_shift(sigma, i) == tuple(row[i - 1] for row in L)
+                assert T.tau[i - 1] == sum((L[j][i - 1] * a for j, a in enumerate(alpha)), quad(0))
+                checked += 1
+    assert checked == 5038
 
 
 def test_orbit_classes_walk(sqrt2_iet):

@@ -245,7 +245,7 @@ def test_strip_levels_compare_few_times(monkeypatch):
     monkeypatch.setattr(QuadReal, "_compare", counted)
     for T in maps:
         strip_decomposition(T, 8)
-    assert calls <= 11_500
+    assert calls <= 10_000
 
 
 def test_strips_require_closed_transversal():
