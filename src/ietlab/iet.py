@@ -3,19 +3,22 @@
 Every orbit of a point and every block flowed under a map goes through one
 generator, ``Iet.walk``: it yields each point with its interval index,
 steps forward or backward, and guards a block against crossing a
-separation point.
+separation point.  ``_lattice_walk`` runs the same walk in integers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import islice
+from math import lcm
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConsistencyViolation, InvalidPermutation, NonPositiveLength, OutOfDomain
-from .exactnum import QuadReal, _as_quad, _clipped, quad
+from .errors import (ConsistencyViolation, InvalidPermutation, MixedRadicand, NonPositiveLength,
+                     OutOfDomain)
+from .exactnum import QuadReal, _as_quad, _clipped, _trusted, quad
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,70 @@ class Iet:
         for _ in range(abs(power)):
             x = step(x)
         return x
+
+
+def _positive(p: int, q: int, d: int) -> bool:
+    """True iff p + q*sqrt(d) > 0, where q == 0 or d > 1 is square-free.
+
+    p*p == q*q*d has no solution with q != 0, so the two terms never cancel.
+    """
+    if q >= 0:
+        return p > 0 or (q > 0 and (p >= 0 or q * q * d > p * p))
+    return p > 0 and p * p > q * q * d
+
+
+def _point(p: int, q: int, D: int, d: int) -> QuadReal:
+    """The number (p + q*sqrt(d))/D."""
+    return _trusted(Fraction(p, D), Fraction(q, D), d)
+
+
+def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = None,
+                  window: tuple[QuadReal, ...] = (), backward: bool = False,
+                  open_left: bool = False) -> tuple[list[int], Optional[QuadReal]]:
+    """Walk x, T(x), ... (T^-1 with ``backward``) over at most ``stop`` points, in integers.
+
+    Every value is written once as a pair (p, q) meaning (p + q*sqrt(d))/D, D the lcm of
+    all denominators.  Each point is located (OutOfDomain as in ``interval_index``), then
+    tested against the window [a, b) ((a, b) with ``open_left``) from T(x) on, or from x
+    on backward; a walk back at x without entering it never will.  Before each step, the
+    block [y, y + width) must not cross the end of its interval.  Returns the interval
+    indices of the points before the exit, and the point that entered the window or None.
+    """
+    ends, moves, name = ((T.beta_prime, [-t for t in T._inverse_tau], "beta'") if backward
+                         else (T.beta, T.tau, "beta"))
+    values = [*ends, *moves, x, *window, *([] if width is None else [width])]
+    radicands = list(dict.fromkeys(v.d for v in values if v.d))
+    if len(radicands) > 1:
+        raise MixedRadicand(f"sqrt({radicands[1]}) and sqrt({radicands[0]}) cannot mix")
+    d = radicands[0] if radicands else 0
+    D = lcm(*{c.denominator for v in values for c in (v.a, v.b)})  # set: 3.11 never reuses 20-tuples
+    pairs = [(v.a.numerator * D // v.a.denominator, v.b.numerator * D // v.b.denominator)
+             for v in values]
+    n = T.n
+    edges, moves, start = pairs[:n + 1], pairs[n + 1:2 * n + 1], pairs[2 * n + 1]
+    (ap, aq), (bp, bq) = pairs[2 * n + 2:2 * n + 4] if window else ((0, 0), (0, 0))
+    if width is not None:
+        limits = [(p - pairs[-1][0], q - pairs[-1][1]) for p, q in edges]
+    p, q = start
+    word: list[int] = []
+    for s in range(stop):
+        i = n + 1  # the number of ends at or below the point, as bisect_right counts
+        while i and _positive(edges[i - 1][0] - p, edges[i - 1][1] - q, d):
+            i -= 1
+        if not 0 < i <= n:
+            raise OutOfDomain(f"{_point(p, q, D, d)} outside [0, {T.total})")
+        if window and (s or backward):
+            left = _positive(p - ap, q - aq, d) if open_left else not _positive(ap - p, aq - q, d)
+            if left and _positive(bp - p, bq - q, d):
+                return word, _point(p, q, D, d)
+            if s and (p, q) == start:
+                return word, None
+        word.append(i)
+        if width is not None and s + 1 < stop and _positive(p - limits[i][0], q - limits[i][1], d):
+            y = _point(p, q, D, d)
+            raise ConsistencyViolation(f"block [{y}, {y + width}) crosses {name}({i})")
+        p, q = p + moves[i - 1][0], q + moves[i - 1][1]
+    return word, None
 
 
 def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Literal, Optional
 
 from .errors import (ConsistencyViolation, DegenerateAt, NotAdmissible,
                      OutOfDomain, ReturnTimeExceeded)
 from .exactnum import QuadReal, quad
-from .iet import Iet, OrbitPoint, Permutation, iet_new, orbit_point, tiles
+from .iet import Iet, OrbitPoint, Permutation, _lattice_walk, iet_new, orbit_point, tiles
 from .intmat import IntMatrix, column_sums, det, freeze
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -62,19 +61,12 @@ def is_admissible(T: Iet, a: OrbitPoint, b: OrbitPoint) -> AdmissibilityResult:
     if a.value < 0 or b.value > T.total:
         raise OutOfDomain("interval endpoints outside the domain")
 
-    def inside(x: QuadReal) -> bool:
-        return a.value <= x < b.value
-
     for tag, point in (("left", a), ("right", b)):
-        e = point.power
-        start = T.beta[point.base]
-        if e >= 0:
-            visits = zip(range(1, e), islice(T.walk(start), 1, None))
-        else:
-            visits = zip(range(0, e, -1), T.walk(start, backward=True))
-        for m, (_, x) in visits:
-            if inside(x):
-                return AdmissibilityResult(False, m, x, tag)
+        start, e = T.beta[point.base], point.power
+        if e > 1 or e < 0:
+            word, x = _lattice_walk(T, start, abs(e), window=(a.value, b.value), backward=e < 0)
+            if x is not None:
+                return AdmissibilityResult(False, len(word) if e > 0 else -len(word), x, tag)
     return AdmissibilityResult(True)
 
 
@@ -104,39 +96,16 @@ def _division_points(T: Iet, a: QuadReal, b: QuadReal,
     """
     points = []
     for j in range(1, T.n):
-        start = T.beta[j]
-        orbit = islice(T.walk(start, backward=True), max_steps + 1)
-        for steps, (_, x) in enumerate(orbit):
-            if a < x < b:
-                points.append(x)
-                break
-            if steps and x == start:
-                raise ReturnTimeExceeded(
-                    f"backward orbit of beta({j}) is periodic with period "
-                    f"{steps} and avoids the interval")
-        else:
-            raise ReturnTimeExceeded(
-                f"backward orbit of beta({j}) avoided the interval for "
-                f"{max_steps} steps")
+        word, x = _lattice_walk(T, T.beta[j], max_steps + 1, window=(a, b), backward=True,
+                                open_left=True)
+        if x is None:
+            why = (f"is periodic with period {len(word)} and avoids the interval"
+                   if len(word) <= max_steps else f"avoided the interval for {max_steps} steps")
+            raise ReturnTimeExceeded(f"backward orbit of beta({j}) {why}")
+        points.append(x)
     if len(set(points)) != T.n - 1:
         raise NotAdmissible("division points of the interval collide")
     return sorted(points)
-
-
-def _flow_block(T: Iet, left: QuadReal, width: QuadReal, a: QuadReal,
-                b: QuadReal, max_steps: int) -> tuple[list[int], QuadReal]:
-    """Push [left, left+width) forward until it first re-enters [a, b).
-
-    Returns the interval-index visit word (one entry per step, counted
-    before applying T) and the landing left endpoint.
-    """
-    visits: list[int] = []
-    for i, x in islice(T.walk(left, width), max_steps + 1):
-        if visits and a <= x < b:
-            return visits, x
-        visits.append(i)
-    raise ReturnTimeExceeded(
-        f"block at {left} did not return within {max_steps} steps")
 
 
 def first_return_blocks(
@@ -144,13 +113,20 @@ def first_return_blocks(
 ) -> tuple[list[QuadReal], list[list[int]], list[QuadReal]]:
     """Cut [a, b) at the division points and flow each block to first return.
 
-    Returns (block boundary points c_0..c_n, visit words, landing lefts).
+    Each block [left, right) is pushed forward until it first re-enters
+    [a, b); its visit word holds one interval index per step, counted
+    before applying T.  Returns (block boundary points c_0..c_n, visit
+    words, landing lefts).
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     cuts = [a] + _division_points(T, a, b, max_steps) + [b]
     words, landings = [], []
-    for j in range(len(cuts) - 1):
-        word, landing = _flow_block(T, cuts[j], cuts[j + 1] - cuts[j], a, b,
-                                    max_steps)
+    for left, right in zip(cuts, cuts[1:]):
+        word, landing = _lattice_walk(T, left, max_steps + 1, width=right - left, window=(a, b))
+        if landing is None:
+            raise ReturnTimeExceeded(
+                f"block at {left} did not return within {max_steps} steps")
         words.append(word)
         landings.append(landing)
     return cuts, words, landings
@@ -167,6 +143,8 @@ def induce(T: Iet, J: AdmissibleInterval,
     returning.  ``origin`` records the absolute left endpoint of J and
     defaults to J.left; iterated callers pass their own bookkeeping.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     if origin is None:
         origin = J.left
     check = is_admissible(T, J.a, J.b)
@@ -229,6 +207,8 @@ def shrink_sequence(T: Iet, y0: QuadReal, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     if quad(0) > y0 or not y0 < T.total:
         raise OutOfDomain(f"{y0} outside [0, {T.total})")
 

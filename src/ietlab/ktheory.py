@@ -103,6 +103,8 @@ def bratteli(chain: Sequence[InductionStep], max_steps: int = DEFAULT_MAX_STEPS)
     """
     if not chain:
         raise ValueError("bratteli needs a nonempty chain")
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     T = chain[0].parent
     origin = quad(0)
     for step in chain:

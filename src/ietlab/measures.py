@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .errors import OutOfDomain
 from .exactnum import QuadReal, _as_quad, quad
-from .iet import Iet
+from .iet import Iet, _lattice_walk
 from .induction import InductionStep
 from .intmat import IntMatrix, identity, mat_mul
 
@@ -127,9 +126,8 @@ def empirical_measure(T: Iet, p: QuadReal | Fraction | int, m: int, n_steps: int
     x = _as_quad(p)
     if x < quad(0) or not x < T.total:
         raise OutOfDomain(f"point {x} outside [0, {T.total})")
-    counts = [0] * T.n
-    for i, _ in islice(T.walk(x), m, m + n_steps + 1):
-        counts[i - 1] += 1
+    visits = _lattice_walk(T, x, m + n_steps + 1)[0][m:]
+    counts = [visits.count(i) for i in range(1, T.n + 1)]
     raw = tuple(Fraction(c, n_steps) for c in counts)
     normalized = tuple(Fraction(c, n_steps + 1) for c in counts)
     return MeasureVector(raw=raw, normalized=normalized)

@@ -418,6 +418,8 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
     """
     if levels < 1:
         raise ValueError("levels must be positive")
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     if not irreducible(T.sigma):
         raise Reducible(f"sigma {_clipped(str(T.sigma.images))} is reducible")
     if T.sigma(T.n) != T.sigma(1) - 1:

@@ -104,6 +104,19 @@ def rank(matrix) -> int:
     return found
 
 
+def count_compares(monkeypatch) -> list[int]:
+    """Count QuadReal._compare calls from now on; the returned list holds the count."""
+    calls = [0]
+    compare = QuadReal._compare
+
+    def counted(self, other):
+        calls[0] += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(QuadReal, "_compare", counted)
+    return calls
+
+
 def random_irreducible(rng, n: int) -> Permutation:
     while True:
         images = list(range(1, n + 1))

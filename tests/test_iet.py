@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietlab import (
     ConsistencyViolation,
+    IetlabError,
     InvalidPermutation,
     NonPositiveLength,
     OutOfDomain,
@@ -19,7 +20,7 @@ from ietlab import (
     quad,
     radical,
 )
-from ietlab.iet import tiles
+from ietlab.iet import _lattice_walk, tiles
 from helpers import FloatIet, random_irreducible, to_mp
 
 
@@ -272,3 +273,84 @@ def test_block_walk_stops_exactly_at_a_crossing(case, backward, steps):
     if crossing:
         with pytest.raises(ConsistencyViolation):
             next(walk)
+
+
+def lattice_walk_by_quad_steps(T, x, stop, width, window, backward, open_left):
+    """What ``_lattice_walk`` must return, from ``Iet.walk`` and ``QuadReal`` tests.
+
+    Iet.walk runs its crossing test when it is resumed, so a block is tested
+    only before a step, and never at the last point of the budget.
+    """
+    word = []
+    walk = T.walk(x, width, backward=backward)
+    for s in range(stop):
+        i, y = next(walk)
+        if window and (s or backward):
+            a, b = window
+            if (a < y if open_left else a <= y) and y < b:
+                return word, y
+            if s and y == x:
+                return word, None
+        word.append(i)
+    return word, None
+
+
+def outcome(walk, *args):
+    try:
+        return walk(*args)
+    except IetlabError as error:
+        return type(error).__name__, str(error)
+
+
+def check_against_floats(T, x, word, landing, backward):
+    """Follow the word in 60-digit floats: each point lies in its interval, and the walk ends at landing."""
+    reference = FloatIet(T.sigma.images, [to_mp(a) for a in T.alpha])
+    y = to_mp(x)
+    for i in word:
+        if backward:  # i indexes I'(i), the image of I(j) for sigma(j) = i
+            j = T.sigma.inverse()(i)
+            low, high = reference.beta[j - 1] + reference.tau[j - 1], reference.beta[j] + reference.tau[j - 1]
+            move = -reference.tau[j - 1]
+        else:
+            low, high, move = reference.beta[i - 1], reference.beta[i], reference.tau[i - 1]
+        assert low - 1e-40 < y < high + 1e-40
+        y += move
+    assert abs(y - to_mp(landing)) < 1e-40
+
+
+@st.composite
+def periodic_walk_cases(draw):
+    """A rational IET with lengths in twelfths, so every orbit is periodic, a start and a width."""
+    n = draw(st.integers(2, 4))
+    sigma = Permutation(tuple(draw(st.permutations(range(1, n + 1)).filter(
+        lambda images: irreducible(Permutation(tuple(images)))))))
+    twelfths = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    T = iet_new(sigma, [quad(Fraction(k, 12)) for k in twelfths])
+    x = quad(Fraction(draw(st.integers(0, sum(twelfths) - 1)), 12))
+    return T, x, quad(Fraction(draw(st.integers(1, 12)), 12))
+
+
+@st.composite
+def walk_windows(draw, T):
+    """Nothing, or a window [a, b) of [0, |T|) with ends at multiples of |T|/60."""
+    if not draw(st.booleans()):
+        return ()
+    u, v = sorted(draw(st.lists(st.integers(0, 60), min_size=2, max_size=2, unique=True)))
+    return T.total * Fraction(u, 60), T.total * Fraction(v, 60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases() | periodic_walk_cases(), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(1, 30), st.data())
+def test_lattice_walk_matches_quad_walk(case, backward, with_width, open_left, stop, data):
+    T, x, width = case
+    width = width if with_width else None
+    if data.draw(st.integers(0, 9)) == 0:
+        x = T.total  # out of the domain
+    window = data.draw(walk_windows(T))
+    args = (T, x, stop, width, window, backward, open_left)
+    expected = outcome(lattice_walk_by_quad_steps, *args)
+    got = outcome(_lattice_walk, *args)
+    assert got == expected
+    if isinstance(got[0], list) and got[1] is not None:
+        check_against_floats(T, x, *got, backward)

@@ -1,26 +1,38 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ietlab import (
     AdmissibleInterval,
     DegenerateAt,
+    IetlabError,
     OutOfDomain,
     ReturnTimeExceeded,
     basic_interval,
+    bratteli,
     det,
+    empirical_measure,
     first_return_blocks,
     format_quad,
     identity,
+    iet_new,
     induce,
     is_admissible,
     orbit_point,
+    permutation,
     quad,
+    radical,
     shrink_sequence,
+    strip_decomposition,
+    towers,
     whole_interval,
 )
-from helpers import naive_first_return, random_quad_iet, rauzy_veech
+from helpers import (count_compares, four_example, golden_example, naive_first_return,
+                     random_quad_iet, rauzy_veech, sqrt2_example)
 
 
 def test_whole_interval_is_admissible(sqrt2_iet):
@@ -181,6 +193,35 @@ def test_return_time_budget():
         induce(T, basic_interval(T, 1), max_steps=1)
 
 
+BUDGET_CALLS = {
+    "induce": lambda T, k: induce(T, basic_interval(T, 1), k),
+    "first_return_blocks": lambda T, k: first_return_blocks(T, T.beta[1], T.total, k),
+    "shrink_sequence": lambda T, k: shrink_sequence(T, quad(Fraction(1, 10)), 3, k),
+    "towers": lambda T, k: towers(T, basic_interval(T, 1), k),
+    "bratteli": lambda T, k: bratteli(shrink_sequence(T, quad(Fraction(1, 10)), 3), k),
+    "strip_decomposition": lambda T, k: strip_decomposition(T, 2, k),
+}
+
+
+@pytest.mark.parametrize("max_steps", [0, -1, -2])
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS))
+def test_step_budgets_below_one_are_rejected(name, max_steps):
+    with pytest.raises(ValueError, match="^max_steps must be positive$"):
+        BUDGET_CALLS[name](sqrt2_example(), max_steps)
+
+
+def test_induce_compares_few_times(monkeypatch):
+    # the searches walk on integers; only the endpoint checks, the sorts and the
+    # induced map's own construction compare QuadReals (about 1,400 calls; 64,767
+    # when the walks compared QuadReals)
+    maps = [T for name, T in outcome_maps().items() if name.startswith("random-")]
+    calls = count_compares(monkeypatch)
+    for T in maps:
+        for i in range(T.n):
+            induce(T, basic_interval(T, i))
+    assert calls[0] <= 2_000
+
+
 def test_rauzy_veech_step_matches_induce():
     # the oracle never walks an orbit, so it checks induce's walks independently
     rng = random.Random(5)
@@ -189,3 +230,88 @@ def test_rauzy_veech_step_matches_induce():
         sigma, alpha, A, right = rauzy_veech(T)
         step = induce(T, AdmissibleInterval(orbit_point(T, 0, 0), right))
         assert (step.induced.sigma, step.induced.alpha, step.A) == (sigma, alpha, A)
+
+
+def outcome_maps():
+    """sqrt2, golden, the 4-interval map, two rational maps and 20 random maps over Q(sqrt 2).
+
+    The random maps have 3-5 intervals.  The rational maps are periodic, so
+    their division-point searches can fail on a periodic backward orbit.
+    """
+    rng = random.Random(5)
+    maps = {"sqrt2": sqrt2_example(), "golden": golden_example(), "four": four_example(),
+            "rational-2": iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))]),
+            "rational-4": iet_new(permutation(3, 1, 4, 2), [quad(Fraction(1, 4))] * 4)}
+    for k in range(20):
+        maps[f"random-{k}"] = random_quad_iet(rng, rng.randint(3, 5))
+    return maps
+
+
+def outcome_windows(T):
+    """The whole interval, every basic interval, and [T^e(beta(i)), T^e(beta(i+1))) for e = -1, 1, 2.
+
+    The right end of the last orbit-point window is beta(n) itself.  The
+    orbit-point windows are built directly, so some are out of order or not
+    admissible, and ``induce`` must reject them.
+    """
+    windows = {"whole": whole_interval(T)}
+    windows.update((f"basic {i}", basic_interval(T, i)) for i in range(T.n))
+    for e in (-1, 1, 2):
+        for i in range(T.n):
+            right = orbit_point(T, i + 1, e) if i + 1 < T.n else orbit_point(T, T.n, 0)
+            windows[f"orbit {e} {i}"] = AdmissibleInterval(orbit_point(T, i, e), right)
+    return windows
+
+
+INDUCE_OUTCOMES = Path(__file__).parent / "data" / "induce_outcomes.json"
+OUTCOME_BUDGETS = [*range(1, 41), 100, 10**6]
+SHRINK_BUDGETS = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 100, 10**6]
+
+
+def outcome_text(compute):
+    try:
+        return repr(compute())
+    except IetlabError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def induce_outcomes():
+    """sha256 of the outcomes of induce, shrink_sequence and empirical_measure, per map and input.
+
+    Each entry hashes one line per budget, "budget: text", where text is
+    the repr of the result or "Class: message".  ``induce`` runs on every
+    window of ``outcome_windows`` at every budget of ``OUTCOME_BUDGETS``;
+    ``shrink_sequence`` runs at depth 6 from 0, |T|/3 and beta(1) at every
+    budget of ``SHRINK_BUDGETS``; ``empirical_measure`` runs from points whose
+    denominators are not those of the map, from a point out of the domain
+    and from a point over another radicand.  The stored table was written
+    from a commit whose outcomes were trusted, by running this one line
+    from the repository root:
+
+        PYTHONPATH=src:tests python -c "import json, test_induction as t; print(json.dumps(t.induce_outcomes(), indent=1))" > tests/data/induce_outcomes.json
+    """
+    table = {}
+
+    def record(key, outcome):
+        lines = "\n".join(f"{label}: {outcome_text(compute)}" for label, compute in outcome)
+        table[key] = hashlib.sha256(lines.encode()).hexdigest()
+
+    for name, T in outcome_maps().items():
+        for label, J in outcome_windows(T).items():
+            record(f"{name} induce {label}",
+                   ((budget, lambda: induce(T, J, budget)) for budget in OUTCOME_BUDGETS))
+        for label, y0 in (("0", quad(0)), ("third", T.total / 3), ("beta1", T.beta[1])):
+            record(f"{name} shrink {label}",
+                   ((budget, lambda: shrink_sequence(T, y0, 6, budget)) for budget in SHRINK_BUDGETS))
+        points = [T.total * Fraction(1, 7), T.total * Fraction(5, 1009), quad(Fraction(1, 13)) * T.alpha[0],
+                  T.total + Fraction(1, 7), radical(3) / 11]
+        windows = [(0, 1), (0, 60), (7, 33)]
+        record(f"{name} measure", ((f"{x} {m} {k}", lambda: empirical_measure(T, x, m, k))
+                                   for x in points for m, k in windows))
+    return table
+
+
+def test_induce_outcomes_match_the_stored_table():
+    stored = json.loads(INDUCE_OUTCOMES.read_text(encoding="utf-8"))
+    assert len(stored) == sum(4 * T.n + 5 for T in outcome_maps().values())
+    assert induce_outcomes() == stored

@@ -13,7 +13,7 @@ from ietlab import (
     shrink_sequence,
     unique_ergodicity_certificate,
 )
-from helpers import to_mp
+from helpers import count_compares, four_example, golden_example, sqrt2_example, to_mp
 
 
 def chain_of(T, depth):
@@ -110,3 +110,13 @@ def test_empirical_measure_accepts_fraction_point(sqrt2_iet):
 def test_empirical_measure_rejects_a_float_point(sqrt2_iet):
     with pytest.raises(TypeError):
         empirical_measure(sqrt2_iet, 0.25, 0, 10)
+
+
+def test_empirical_measure_compares_few_times(monkeypatch):
+    # the visit count walks on integers; only the domain check compares QuadReals
+    # (6 calls; 13,497 when the count walked on QuadReal)
+    maps = [sqrt2_example(), golden_example(), four_example()]
+    calls = count_compares(monkeypatch)
+    for T in maps:
+        empirical_measure(T, 0, 0, 2000)
+    assert calls[0] <= 100

@@ -16,7 +16,6 @@ from ietlab import (
     IetlabError,
     NotVerifiedIDOC,
     Permutation,
-    QuadReal,
     Reducible,
     ShapeViolation,
     idoc_check,
@@ -32,7 +31,7 @@ from ietlab import (
     strip_decomposition,
 )
 from ietlab.suspension import _incidence
-from helpers import four_example, golden_example, random_irreducible, sqrt2_example
+from helpers import count_compares, four_example, golden_example, random_irreducible, sqrt2_example
 
 
 def test_sigma0_two_interval():
@@ -234,18 +233,10 @@ def test_incidence_rejects_a_moved_floor(sqrt2_iet, source, target):
 def test_strip_levels_compare_few_times(monkeypatch):
     # tiling and incidence match floor ends by equality, so only the walks and markers compare
     maps = [sqrt2_example(), golden_example(), four_example()]
-    calls = 0
-    compare = QuadReal._compare
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return compare(self, other)
-
-    monkeypatch.setattr(QuadReal, "_compare", counted)
+    calls = count_compares(monkeypatch)
     for T in maps:
         strip_decomposition(T, 8)
-    assert calls <= 10_000
+    assert calls[0] <= 10_000
 
 
 def test_strips_require_closed_transversal():
