@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (ConsistencyViolation, InvalidPermutation, MixedRadicand, NonPositiveLength,
                      OutOfDomain)
@@ -104,6 +104,16 @@ class Iet:
     def apply_inverse(self, x: QuadReal) -> QuadReal:
         return x - self._inverse_tau[self.image_interval_index(x) - 1]
 
+    @cached_property
+    def _forward_lattice(self) -> tuple[int, int, list[tuple[int, int]]]:
+        """The ends beta and moves tau on the integer lattice of ``_lattice``."""
+        return _lattice([*self.beta, *self.tau])
+
+    @cached_property
+    def _backward_lattice(self) -> tuple[int, int, list[tuple[int, int]]]:
+        """The ends beta' and moves -tau(sigma^-1(k)) on the integer lattice of ``_lattice``."""
+        return _lattice([*self.beta_prime, *(-t for t in self._inverse_tau)])
+
     def walk(self, x: QuadReal, width: Optional[QuadReal] = None,
              backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
         """Yield (i, y) for y = x, T(x), T^2(x), ..., with y in I(i).
@@ -146,33 +156,39 @@ def _point(p: int, q: int, D: int, d: int) -> QuadReal:
     return _trusted(Fraction(p, D), Fraction(q, D), d)
 
 
+def _lattice(values: Sequence[QuadReal], d: int = 0,
+             D: int = 1) -> tuple[int, int, list[tuple[int, int]]]:
+    """(d, D, pairs): each value as (p, q) meaning (p + q*sqrt(d))/D; d and D extend the given ones."""
+    radicands = list(dict.fromkeys(r for r in (d, *(v.d for v in values)) if r))
+    if len(radicands) > 1:
+        raise MixedRadicand(f"sqrt({radicands[1]}) and sqrt({radicands[0]}) cannot mix")
+    D = lcm(*{D, *(c.denominator for v in values for c in (v.a, v.b))})  # set: 3.11 never reuses 20-tuples
+    return (radicands[0] if radicands else 0, D,
+            [(v.a.numerator * D // v.a.denominator, v.b.numerator * D // v.b.denominator) for v in values])
+
+
 def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = None,
                   window: tuple[QuadReal, ...] = (), backward: bool = False,
                   open_left: bool = False) -> tuple[list[int], Optional[QuadReal]]:
     """Walk x, T(x), ... (T^-1 with ``backward``) over at most ``stop`` points, in integers.
 
-    Every value is written once as a pair (p, q) meaning (p + q*sqrt(d))/D, D the lcm of
-    all denominators.  Each point is located (OutOfDomain as in ``interval_index``), then
-    tested against the window [a, b) ((a, b) with ``open_left``) from T(x) on, or from x
-    on backward; a walk back at x without entering it never will.  Before each step, the
+    x, the window and the width join the map's cached lattice; a new denominator among them
+    rescales a copy of the map's pairs.  Each point is located (OutOfDomain as in ``interval_index``),
+    then tested against the window [a, b) ((a, b) with ``open_left``) from T(x) on, or from
+    x on backward; a walk back at x without entering it never will.  Before each step, the
     block [y, y + width) must not cross the end of its interval.  Returns the interval
     indices of the points before the exit, and the point that entered the window or None.
     """
-    ends, moves, name = ((T.beta_prime, [-t for t in T._inverse_tau], "beta'") if backward
-                         else (T.beta, T.tau, "beta"))
-    values = [*ends, *moves, x, *window, *([] if width is None else [width])]
-    radicands = list(dict.fromkeys(v.d for v in values if v.d))
-    if len(radicands) > 1:
-        raise MixedRadicand(f"sqrt({radicands[1]}) and sqrt({radicands[0]}) cannot mix")
-    d = radicands[0] if radicands else 0
-    D = lcm(*{c.denominator for v in values for c in (v.a, v.b)})  # set: 3.11 never reuses 20-tuples
-    pairs = [(v.a.numerator * D // v.a.denominator, v.b.numerator * D // v.b.denominator)
-             for v in values]
-    n = T.n
-    edges, moves, start = pairs[:n + 1], pairs[n + 1:2 * n + 1], pairs[2 * n + 1]
-    (ap, aq), (bp, bq) = pairs[2 * n + 2:2 * n + 4] if window else ((0, 0), (0, 0))
+    d, D, pairs = T._backward_lattice if backward else T._forward_lattice
+    d, scaled, extra = _lattice([x, *window, *([] if width is None else [width])], d, D)
+    if scaled != D:
+        k, D = scaled // D, scaled
+        pairs = [(p * k, q * k) for p, q in pairs]
+    n, name = T.n, "beta'" if backward else "beta"
+    edges, moves, start = pairs[:n + 1], pairs[n + 1:], extra[0]
+    (ap, aq), (bp, bq) = extra[1:3] if window else ((0, 0), (0, 0))
     if width is not None:
-        limits = [(p - pairs[-1][0], q - pairs[-1][1]) for p, q in edges]
+        limits = [(p - extra[-1][0], q - extra[-1][1]) for p, q in edges]
     p, q = start
     word: list[int] = []
     for s in range(stop):

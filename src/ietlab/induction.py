@@ -8,7 +8,7 @@ from typing import Literal, Optional
 from .errors import (ConsistencyViolation, DegenerateAt, NotAdmissible,
                      OutOfDomain, ReturnTimeExceeded)
 from .exactnum import QuadReal, quad
-from .iet import Iet, OrbitPoint, Permutation, _lattice_walk, iet_new, orbit_point, tiles
+from .iet import Iet, OrbitPoint, Permutation, _lattice, _lattice_walk, _point, iet_new, orbit_point, tiles
 from .intmat import IntMatrix, column_sums, det, freeze
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -178,16 +178,15 @@ def _verify_step(step: InductionStep, landings: list[QuadReal]) -> None:
         raise ConsistencyViolation("column sums disagree with return times")
     if abs(det(A)) != 1:
         raise ConsistencyViolation(f"transition matrix has det {det(A)}")
-    for i in range(n):
-        combo = quad(0)
-        for j in range(n):
-            combo = combo + A[i][j] * induced.alpha[j]
-        if combo != T.alpha[i]:
-            raise ConsistencyViolation("alpha != A alpha'")
-    kac = quad(0)
-    for j in range(n):
-        kac = kac + step.return_times[j] * induced.alpha[j]
-    if kac != T.total:
+    d, D, lengths = _lattice(induced.alpha)  # alpha' over one denominator, as integer pairs
+
+    def combination(weights: tuple[int, ...]) -> QuadReal:
+        pairs = [(w * p, w * q) for w, (p, q) in zip(weights, lengths) if w]
+        return _point(sum(p for p, _ in pairs), sum(q for _, q in pairs), D, d)
+
+    if any(combination(A[i]) != T.alpha[i] for i in range(n)):
+        raise ConsistencyViolation("alpha != A alpha'")
+    if combination(step.return_times) != T.total:
         raise ConsistencyViolation("Kac identity fails")
     pieces = ((landings[j], landings[j] + induced.alpha[j]) for j in range(n))
     if not tiles(pieces, step.J.left, step.J.right):

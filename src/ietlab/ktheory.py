@@ -129,7 +129,7 @@ def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal]
     for m in range(1, len(cur)):
         width = cur[m] - cur[m - 1]
         counts = [0] * (len(prev) - 1)
-        for t, (_, x) in enumerate(islice(T.walk(cur[m - 1], width), max_steps)):
+        for t, (i, x) in enumerate(islice(T.walk(cur[m - 1]), max_steps)):
             right = x + width
             if t and cur[0] <= x and right <= cur[-1]:
                 break
@@ -139,6 +139,8 @@ def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal]
             elif l < len(prev) and (l > 0 or prev[0] < right):  # the block meets [prev[0], prev[-1])
                 where = "the previous window" if l == 0 or prev[-1] < right else "a previous tower base"
                 raise ConsistencyViolation(f"walk block straddles {where}")
+            if t + 1 < max_steps and not right <= T.beta[i]:  # stepped next, the block would split
+                raise ConsistencyViolation(f"block [{x}, {right}) crosses beta({i})")
         else:
             raise ReturnTimeExceeded(f"no return within {max_steps} steps")
         column = [A[l][m - 1] for l in range(len(counts))]

@@ -1,17 +1,19 @@
 """Shared oracles for the test suite.
 
-Three independent cross-checks back the exact code paths: a 60-digit mpmath
+Four independent cross-checks back the exact code paths: a 60-digit mpmath
 simulation of the same maps, a naive iterate-until-return loop that knows
-nothing about induction bookkeeping, and a Rauzy-Veech step that induces by
-arithmetic on (sigma, alpha) without walking an orbit.
+nothing about induction bookkeeping, a Rauzy-Veech step that induces by
+arithmetic on (sigma, alpha) without walking an orbit, and the induction
+step checks summed as ``QuadReal`` products.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from ietlab import (Iet, OrbitPoint, Permutation, QuadReal, idoc_check, iet_new, orbit_point,
-                    quad, quad_sign, radical)
+from ietlab import (ConsistencyViolation, Iet, InductionStep, OrbitPoint, Permutation, QuadReal,
+                    column_sums, det, idoc_check, iet_new, orbit_point, quad, quad_sign, radical)
+from ietlab.iet import tiles
 from ietlab.intmat import IntMatrix, freeze
 
 mpmath.mp.dps = 60
@@ -159,3 +161,27 @@ def four_example() -> Iet:
     r2 = radical(2)
     return iet_new(Permutation((3, 1, 4, 2)),
                    [r2 - 1, quad(Fraction(1, 2)), 2 - r2, quad(Fraction(1, 3))])
+
+
+def verify_step_by_quad_sums(step: InductionStep, landings: list[QuadReal]) -> None:
+    """``induce``'s step checks with alpha = A alpha' and Kac summed as QuadReal products."""
+    T, induced, A = step.parent, step.induced, step.A
+    n = T.n
+    if column_sums(A) != step.return_times:
+        raise ConsistencyViolation("column sums disagree with return times")
+    if abs(det(A)) != 1:
+        raise ConsistencyViolation(f"transition matrix has det {det(A)}")
+    for i in range(n):
+        combo = quad(0)
+        for j in range(n):
+            combo = combo + A[i][j] * induced.alpha[j]
+        if combo != T.alpha[i]:
+            raise ConsistencyViolation("alpha != A alpha'")
+    kac = quad(0)
+    for j in range(n):
+        kac = kac + step.return_times[j] * induced.alpha[j]
+    if kac != T.total:
+        raise ConsistencyViolation("Kac identity fails")
+    pieces = ((landings[j], landings[j] + induced.alpha[j]) for j in range(n))
+    if not tiles(pieces, step.J.left, step.J.right):
+        raise ConsistencyViolation("return landings do not tile J")

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -8,6 +10,7 @@ from ietlab import (
     ConsistencyViolation,
     IetlabError,
     InvalidPermutation,
+    MixedRadicand,
     NonPositiveLength,
     OutOfDomain,
     Permutation,
@@ -20,8 +23,9 @@ from ietlab import (
     quad,
     radical,
 )
-from ietlab.iet import _lattice_walk, tiles
-from helpers import FloatIet, random_irreducible, to_mp
+from ietlab.iet import _lattice, _lattice_walk, tiles
+from helpers import (FloatIet, four_example, golden_example, random_irreducible, random_quad_iet,
+                     sqrt2_example, to_mp)
 
 
 def test_permutation_basics():
@@ -354,3 +358,45 @@ def test_lattice_walk_matches_quad_walk(case, backward, with_width, open_left, s
     assert got == expected
     if isinstance(got[0], list) and got[1] is not None:
         check_against_floats(T, x, *got, backward)
+
+
+def cached_lattices(T):
+    """The map's two cached encodings, with their pair lists copied."""
+    return [(d, D, list(pairs)) for d, D, pairs in (T._forward_lattice, T._backward_lattice)]
+
+
+def test_lattice_walk_leaves_the_cached_encoding_unchanged():
+    # starts, windows and widths over 7 and 1009 rescale a copy of the map's pairs; seed 18
+    # gives random maps whose denominators avoid both
+    rng = random.Random(18)
+    maps = [sqrt2_example(), golden_example(), four_example(),
+            iet_new(permutation(3, 1, 4, 2), [quad(Fraction(1, 4))] * 4)]
+    maps += [random_quad_iet(rng, rng.randint(3, 5)) for _ in range(4)]
+    for T in maps:
+        saved = cached_lattices(T)
+        assert saved == [_lattice([*T.beta, *T.tau]),
+                         _lattice([*T.beta_prime, *(-t for t in T._inverse_tau)])]
+        assert all(D % 7 and D % 1009 for _, D, _ in saved)
+        for x in (quad(Fraction(1, 7)), quad(Fraction(5, 1009)), T.beta[1]):
+            for backward in (False, True):
+                for width, window in ((None, (T.total / 3, T.total / 2)),
+                                      (quad(Fraction(1, 7 * 1009)), (quad(0), T.total))):
+                    args = (T, x, 40, width, window, backward, False)
+                    assert outcome(_lattice_walk, *args) == outcome(lattice_walk_by_quad_steps, *args)
+                    assert cached_lattices(T) == saved
+
+
+def test_mixed_radicand_message_repeats_on_one_map():
+    # a failed walk caches nothing: the second call names the point's radicand before the map's again
+    T, R = sqrt2_example(), iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))])
+    cases = [(T, quad(0, Fraction(1, 10), 3), None, "sqrt(3) and sqrt(2) cannot mix"),
+             (T, quad(Fraction(1, 10)), quad(0, Fraction(1, 100), 5), "sqrt(5) and sqrt(2) cannot mix"),
+             (R, quad(0, Fraction(1, 10), 3), quad(0, Fraction(1, 100), 5),
+              "sqrt(5) and sqrt(3) cannot mix")]
+    for M, x, width, message in cases:
+        for backward in (False, True, False):
+            with pytest.raises(MixedRadicand, match=f"^{re.escape(message)}$"):
+                _lattice_walk(M, x, 5, width, backward=backward)
+    for M in (T, R):
+        args = (M, quad(Fraction(1, 10)), 10, None, (), False, False)
+        assert outcome(_lattice_walk, *args) == outcome(lattice_walk_by_quad_steps, *args)

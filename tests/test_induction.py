@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from ietlab import (
     AdmissibleInterval,
     DegenerateAt,
+    Iet,
     IetlabError,
     OutOfDomain,
+    QuadReal,
     ReturnTimeExceeded,
     basic_interval,
     bratteli,
@@ -31,8 +35,10 @@ from ietlab import (
     towers,
     whole_interval,
 )
+from ietlab.induction import _verify_step
+from ietlab.intmat import freeze
 from helpers import (count_compares, four_example, golden_example, naive_first_return,
-                     random_quad_iet, rauzy_veech, sqrt2_example)
+                     random_quad_iet, rauzy_veech, sqrt2_example, verify_step_by_quad_sums)
 
 
 def test_whole_interval_is_admissible(sqrt2_iet):
@@ -220,6 +226,93 @@ def test_induce_compares_few_times(monkeypatch):
         for i in range(T.n):
             induce(T, basic_interval(T, i))
     assert calls[0] <= 2_000
+
+
+def test_induce_sums_in_integers_and_encodes_each_map_once(monkeypatch):
+    # alpha = A alpha' and Kac are integer combinations of alpha''s coefficients (1,940
+    # QuadReal products and 4,082 additions and subtractions when they were QuadReal sums),
+    # and each map is put on its lattice once per direction, not once per walk (631 times)
+    maps = [T for name, T in outcome_maps().items() if name.startswith("random-")]
+    calls = {"product": 0, "sum": 0, "encoding": 0}
+
+    def counted(op, key):
+        def call(*args):
+            calls[key] += 1
+            return op(*args)
+        return call
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(QuadReal, name, counted(getattr(QuadReal, name), "product"))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(QuadReal, name, counted(getattr(QuadReal, name), "sum"))
+    for name in ("_forward_lattice", "_backward_lattice"):
+        encoding = cached_property(counted(Iet.__dict__[name].func, "encoding"))
+        encoding.__set_name__(Iet, name)
+        monkeypatch.setattr(Iet, name, encoding)
+    for T in maps:
+        calls["encoding"] = 0
+        for i in range(T.n):
+            induce(T, basic_interval(T, i))
+        assert calls["encoding"] <= 2
+    assert calls["product"] == 0
+    assert calls["sum"] <= 2_200
+
+
+def corrupted_steps(step, landings):
+    """(what, step, landings): the step as induced, then copies with one value changed.
+
+    The changes are a unit of A moved within its column, a return time alone
+    or with an entry of its column, a length of alpha', a landing, and the
+    parent's total.
+    """
+    yield "intact", step, landings
+    n, induced = step.parent.n, step.induced
+    for j in range(n):
+        for i in range(n):
+            if step.A[i][j]:
+                moved = [list(row) for row in step.A]
+                moved[i][j] -= 1
+                moved[(i + 1) % n][j] += 1
+                yield f"moved A[{i}][{j}]", dataclasses.replace(step, A=freeze(moved)), landings
+        times = list(step.return_times)
+        times[j] += 1
+        yield f"return time {j}", dataclasses.replace(step, return_times=tuple(times)), landings
+        grown = [list(row) for row in step.A]
+        grown[j][j] += 1
+        yield (f"return time and A[{j}][{j}]",
+               dataclasses.replace(step, A=freeze(grown), return_times=tuple(times)), landings)
+        for change in (Fraction(1, 7), induced.alpha[(j + 1) % n] - induced.alpha[j]):
+            alpha = list(induced.alpha)
+            alpha[j] = alpha[j] + change
+            yield (f"alpha' {j} + {change}",
+                   dataclasses.replace(step, induced=dataclasses.replace(induced, alpha=tuple(alpha))),
+                   landings)
+        shifted = list(landings)
+        shifted[j] = shifted[j] + Fraction(1, 1009)
+        yield f"landing {j}", step, shifted
+    T = step.parent
+    total = dataclasses.replace(T, beta=(*T.beta[:-1], T.total + Fraction(1, 7)))
+    yield "total", dataclasses.replace(step, parent=total), landings
+
+
+def test_step_checks_match_quad_sums():
+    # the integer sums must reject exactly what the QuadReal sums rejected, with the same message
+    rng = random.Random(16)
+    maps = [sqrt2_example(), golden_example(), four_example()]
+    maps += [random_quad_iet(rng, rng.randint(3, 5)) for _ in range(6)]
+    seen = set()
+    for T in maps:
+        for J in [whole_interval(T)] + [basic_interval(T, i) for i in range(T.n)]:
+            step = induce(T, J)
+            landings = first_return_blocks(T, J.left, J.right)[2]
+            for what, corrupted, moved in corrupted_steps(step, landings):
+                got = outcome_text(lambda: _verify_step(corrupted, moved))
+                assert got == outcome_text(lambda: verify_step_by_quad_sums(corrupted, moved)), what
+                seen.add(got.split(" has det")[0])
+    assert seen == {"None", "ConsistencyViolation: column sums disagree with return times",
+                    "ConsistencyViolation: transition matrix", "ConsistencyViolation: alpha != A alpha'",
+                    "ConsistencyViolation: Kac identity fails",
+                    "ConsistencyViolation: return landings do not tile J"}
 
 
 def test_rauzy_veech_step_matches_induce():

@@ -38,6 +38,7 @@ from ietlab import (
     towers,
     whole_interval,
 )
+from ietlab.ktheory import _verify_edge
 from helpers import four_example, golden_example, rank, sqrt2_example
 
 
@@ -113,8 +114,22 @@ def test_bratteli_recount_rejects_a_broken_chain(sqrt2_iet, y0, edit, max_steps,
         bratteli(chain, max_steps)
 
 
+@pytest.mark.parametrize("prev, max_steps, error, message", [
+    ((0, 1), 1, ReturnTimeExceeded, "no return within 1 steps"),
+    ((0, 1), 2, ConsistencyViolation, "block [0/1, 1/2) crosses beta(1)"),
+    ((0, Fraction(1, 4), 1), 2, ConsistencyViolation, "walk block straddles a previous tower base"),
+], ids=["last-point", "crossing", "straddle-first"])
+def test_recount_tests_a_crossing_after_the_straddles_and_before_a_step(sqrt2_iet, prev, max_steps,
+                                                                         error, message):
+    # the base [0, 1/2) of sqrt2 crosses beta(1) = sqrt2 - 1 at once
+    A = tuple((1,) for _ in prev[1:])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _verify_edge(sqrt2_iet, A, [quad(v) for v in prev], [quad(0), quad(Fraction(1, 2))], max_steps)
+
+
 def test_bratteli_recount_adds_few_times(monkeypatch):
-    # one lookup on absolute base ends per walked block, no per-step change of coordinates
+    # one lookup on absolute base ends per walked block, no per-step change of coordinates,
+    # and each block's right end summed once per step (7,135 when the walk summed it too)
     chains = [shrink_sequence(T, quad(Fraction(1, 10)), 8)
               for T in (sqrt2_example(), golden_example(), four_example())]
     calls = 0
@@ -130,7 +145,7 @@ def test_bratteli_recount_adds_few_times(monkeypatch):
     monkeypatch.setattr(QuadReal, "__sub__", counting(QuadReal.__sub__))
     for chain in chains:
         bratteli(chain)
-    assert calls <= 8_000
+    assert calls <= 5_000
 
 
 def test_bratteli_export_format(sqrt2_iet):
