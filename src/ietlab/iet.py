@@ -211,6 +211,17 @@ def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = No
     return word, None
 
 
+def _lattice_orbit(T: Iet, start: tuple[int, int], steps: int) -> list[tuple[int, int]]:
+    """The pairs of T(y), ..., T^steps(y), where ``start`` is y's pair on the map's forward lattice."""
+    d, D, pairs = T._forward_lattice
+    moves, (p, q) = pairs[T.n + 1:], start
+    orbit = []
+    for i in _lattice_walk(T, _point(p, q, D, d), steps)[0]:
+        p, q = p + moves[i - 1][0], q + moves[i - 1][1]
+        orbit.append((p, q))
+    return orbit
+
+
 def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:
     """Construct T(sigma, alpha) with the displayed beta/beta'/tau sums."""
     lengths = tuple(_as_quad(a) for a in alpha)
@@ -290,11 +301,13 @@ def idoc_check(T: Iet, depth: int) -> IdocResult:
         raise ValueError("depth must be >= 1")
     if not irreducible(T.sigma):
         return IdocResult(False, depth, None, "sigma is reducible")
-    seen: dict[QuadReal, tuple[int, int]] = {}
-    for i in range(1, T.n):
-        for k, (_, x) in enumerate(islice(T.walk(T.beta[i]), depth + 1)):
-            if x in seen:
-                return IdocResult(False, depth, (seen[x], (i, k)),
-                                  "orbit collision")
-            seen[x] = (i, k)
+    seen: dict[tuple[int, int], tuple[int, int]] = {}  # all points at one D: equal pairs, equal points
+    for i, y in enumerate(T._forward_lattice[2][1:T.n], start=1):
+        orbit, k, chunk = [y], 0, 16
+        while orbit:  # in doubling chunks, so that an early collision ends the walk early
+            for y in orbit:
+                if y in seen:
+                    return IdocResult(False, depth, (seen[y], (i, k)), "orbit collision")
+                seen[y], k = (i, k), k + 1
+            orbit, chunk = _lattice_orbit(T, y, min(chunk, depth + 1 - k)), 2 * chunk
     return IdocResult(True, depth)

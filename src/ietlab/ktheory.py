@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 from .errors import ConsistencyViolation, HorizonExceedsDepth, ReturnTimeExceeded, ShapeViolation
 from .exactnum import QuadReal, quad
-from .iet import Iet, Permutation, tiles
+from .iet import Iet, Permutation, _lattice_walk, tiles
 from .induction import DEFAULT_MAX_STEPS, AdmissibleInterval, InductionStep, induce
 from .intmat import IntMatrix, column_sums, det, freeze, identity_plus_unit
 from .measures import ConeApprox
@@ -70,8 +70,14 @@ def towers(T: Iet, Y: AdmissibleInterval, max_steps: int = DEFAULT_MAX_STEPS) ->
     ends = [Y.left + b for b in step.induced.beta]
     result = []
     for l, (width, height) in enumerate(zip(step.induced.alpha, step.return_times), start=1):
-        floors = tuple((x, x + width) for _, x in islice(T.walk(ends[l - 1], width), 1, height + 1))
-        result.append(Tower(l, ends[l - 1], ends[l], height, floors))
+        floors = []
+        for t, (i, x) in enumerate(islice(T.walk(ends[l - 1]), height + 1)):
+            right = x + width
+            if t:
+                floors.append((x, right))
+            if t < height and not right <= T.beta[i]:  # stepped next, the block would split
+                raise ConsistencyViolation(f"block [{x}, {right}) crosses beta({i})")
+        result.append(Tower(l, ends[l - 1], ends[l], height, tuple(floors)))
     if not tiles((f for t in result for f in t.floors), quad(0), T.total):
         raise ConsistencyViolation("tower floors do not tile the interval")
     return TowerPartition(Y=Y, towers=tuple(result), algebra_dims=tuple(t.height for t in result))
@@ -321,8 +327,10 @@ def coinvariant_shift(sigma: Permutation, i: int) -> tuple[int, ...]:
 
 def orbit_classes(T: Iet, depth: int) -> tuple[tuple[int, ...], ...]:
     """Classes of [0, T^k(0)) in interval coordinates, for k = 0..depth."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     classes = [tuple([0] * T.n)]
-    for i, _ in islice(T.walk(quad(0)), depth):
+    for i in _lattice_walk(T, quad(0), depth)[0]:
         shift = coinvariant_shift(T.sigma, i)
         classes.append(tuple(a + b for a, b in zip(classes[-1], shift)))
     return tuple(classes)

@@ -30,7 +30,7 @@ from .errors import (
     ShapeViolation,
 )
 from .exactnum import QuadReal, _clipped, quad
-from .iet import Iet, Permutation, irreducible, tiles
+from .iet import Iet, Permutation, _lattice_orbit, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze, identity_plus_unit
 
@@ -227,7 +227,8 @@ class _OrbitCache:
         self.orbit = islice(T.walk(quad(0)), max_steps + 1)
         self.points: list[tuple[int, QuadReal]] = []
         self.separation = set(T.beta[1:-1])
-        self.separation_orbits = [islice(T.walk(x), 1, None) for x in T.beta[1:-1]]
+        self.separation_orbits = T._forward_lattice[2][1:T.n]  # lattice pairs, at distinct_depth
+        self.separation_pairs = set(self.separation_orbits)
         self.distinct_depth = self.marker_depth = 0
         # (primed, i) -> [highest, lowest] (exponent, point) in I(i), or in I'(i) when primed
         self.extremes: dict[tuple[bool, int], list[tuple[int, QuadReal]]] = {}
@@ -247,11 +248,13 @@ class _OrbitCache:
 
     def deepen(self, K: int) -> tuple[MarkerTable, MarkerTable]:
         """Test distinct orbits below depth K + 1, then give the marker tables at depth K."""
-        while self.distinct_depth <= K:
-            self.distinct_depth += 1
-            if any(next(orbit)[1] in self.separation for orbit in self.separation_orbits):
+        if self.distinct_depth <= K:
+            steps = K + 1 - self.distinct_depth
+            orbits = [_lattice_orbit(self.T, y, steps) for y in self.separation_orbits]
+            if any(not self.separation_pairs.isdisjoint(orbit) for orbit in orbits):
                 raise NotVerifiedIDOC(
                     f"distinct-orbit check failed below depth {K + 1}: orbit collision")
+            self.separation_orbits, self.distinct_depth = [orbit[-1] for orbit in orbits], K + 1
         T, extremes = self.T, self.extremes
         for k in range(self.marker_depth + 1, K + 1):
             (i, x), (_, y) = self.point(k), self.point(k + 1)

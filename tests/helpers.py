@@ -1,18 +1,21 @@
 """Shared oracles for the test suite.
 
-Four independent cross-checks back the exact code paths: a 60-digit mpmath
+Five independent cross-checks back the exact code paths: a 60-digit mpmath
 simulation of the same maps, a naive iterate-until-return loop that knows
 nothing about induction bookkeeping, a Rauzy-Veech step that induces by
-arithmetic on (sigma, alpha) without walking an orbit, and the induction
-step checks summed as ``QuadReal`` products.
+arithmetic on (sigma, alpha) without walking an orbit, the induction step
+checks summed as ``QuadReal`` products, and the distinct-orbit search keyed
+by ``QuadReal`` points.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 
-from ietlab import (ConsistencyViolation, Iet, InductionStep, OrbitPoint, Permutation, QuadReal,
-                    column_sums, det, idoc_check, iet_new, orbit_point, quad, quad_sign, radical)
+from ietlab import (ConsistencyViolation, Iet, IdocResult, InductionStep, OrbitPoint, Permutation,
+                    QuadReal, column_sums, det, idoc_check, iet_new, irreducible, orbit_point, quad,
+                    quad_sign, radical)
 from ietlab.iet import tiles
 from ietlab.intmat import IntMatrix, freeze
 
@@ -185,3 +188,18 @@ def verify_step_by_quad_sums(step: InductionStep, landings: list[QuadReal]) -> N
     pieces = ((landings[j], landings[j] + induced.alpha[j]) for j in range(n))
     if not tiles(pieces, step.J.left, step.J.right):
         raise ConsistencyViolation("return landings do not tile J")
+
+
+def idoc_by_quad_walk(T: Iet, depth: int) -> IdocResult:
+    """``idoc_check`` stepped by ``Iet.walk`` and keyed by ``QuadReal`` points."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not irreducible(T.sigma):
+        return IdocResult(False, depth, None, "sigma is reducible")
+    seen: dict[QuadReal, tuple[int, int]] = {}
+    for i in range(1, T.n):
+        for k, (_, x) in enumerate(islice(T.walk(T.beta[i]), depth + 1)):
+            if x in seen:
+                return IdocResult(False, depth, (seen[x], (i, k)), "orbit collision")
+            seen[x] = (i, k)
+    return IdocResult(True, depth)

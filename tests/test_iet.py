@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -24,8 +25,8 @@ from ietlab import (
     radical,
 )
 from ietlab.iet import _lattice, _lattice_walk, tiles
-from helpers import (FloatIet, four_example, golden_example, random_irreducible, random_quad_iet,
-                     sqrt2_example, to_mp)
+from helpers import (FloatIet, count_compares, four_example, golden_example, idoc_by_quad_walk,
+                     random_irreducible, random_quad_iet, sqrt2_example, to_mp)
 
 
 def test_permutation_basics():
@@ -203,6 +204,41 @@ def test_idoc_rejects_rational_rotation():
     (i1, k1), (i2, k2) = result.witness
     # the witness names a genuine collision of separation-point orbits
     assert T.iterate(T.beta[i1], k1) == T.iterate(T.beta[i2], k2)
+
+
+def test_idoc_matches_quad_walk_oracle():
+    # rational and quadratic lengths with small denominators, so that many orbits collide
+    rng = random.Random(20)
+    reasons = {(False, ""): 0, (False, "orbit collision"): 0, (True, ""): 0, (True, "orbit collision"): 0}
+    for case in range(300):
+        n, d = rng.randint(2, 6), rng.choice([0, 2, 3, 5])
+        lengths = []
+        while len(lengths) < n:
+            b = Fraction(rng.randint(-2, 2), rng.randint(1, 4)) if d and rng.random() < 0.5 else 0
+            x = quad(Fraction(rng.randint(1, 6), rng.randint(1, 4)), b, d)
+            if x > 0:
+                lengths.append(x)
+        T = iet_new(random_irreducible(rng, n), lengths)
+        depth = rng.randint(1, 60)
+        result = idoc_check(T, depth)
+        assert result == idoc_by_quad_walk(T, depth), (case, T, depth)
+        reasons[(any(x.b for x in lengths), result.reason)] += 1
+    assert min(reasons.values()) >= 5, reasons
+
+
+def test_idoc_stops_at_the_first_collision():
+    T = iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))])
+    start = time.perf_counter()
+    result = idoc_check(T, 10**6)
+    assert time.perf_counter() - start < 0.05
+    assert result.witness == ((1, 0), (1, 3)) and result.depth == 10**6
+
+
+def test_idoc_makes_no_quad_comparisons(monkeypatch):
+    maps = [sqrt2_example(), golden_example(), four_example()]
+    calls = count_compares(monkeypatch)
+    assert all(idoc_check(T, 200).verified for T in maps)
+    assert calls[0] == 0
 
 
 def test_idoc_status_text(sqrt2_iet):

@@ -38,6 +38,7 @@ from ietlab import (
     towers,
     whole_interval,
 )
+import ietlab.ktheory
 from ietlab.ktheory import _verify_edge
 from helpers import four_example, golden_example, rank, sqrt2_example
 
@@ -146,6 +147,47 @@ def test_bratteli_recount_adds_few_times(monkeypatch):
     for chain in chains:
         bratteli(chain)
     assert calls <= 5_000
+
+
+def test_towers_add_few_times(monkeypatch):
+    # each floor's right end is summed once: 944 when the walk summed it for its crossing test too
+    cases = [(T, basic_interval(T, i)) for T in (sqrt2_example(), golden_example(), four_example())
+             for i in range(T.n)]
+    calls = 0
+    add = QuadReal.__add__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return add(self, other)
+
+    monkeypatch.setattr(QuadReal, "__add__", counted)
+    for T, Y in cases:
+        towers(T, Y)
+    assert calls <= 720
+
+
+@pytest.mark.parametrize("example, window, factor, message", [
+    (sqrt2_example, None, 2, "block [0/1, -2/1+2/1r) crosses beta(1)"),
+    (four_example, 1, Fraction(11, 10), "block [-3/10+11/10r, 23/15) crosses beta(3)"),
+    (four_example, 2, Fraction(1, 2), "block [2/3+1/2r, -7/12+3/2r) crosses beta(3)"),
+    (four_example, 3, 2, "block [3/2, -5/6+2/1r) crosses beta(4)"),
+], ids=["sqrt2-whole", "four-1-wide", "four-2-narrow", "four-3-wide"])
+def test_towers_reject_a_floor_crossing_a_separation_point(monkeypatch, example, window, factor,
+                                                          message):
+    # the induced lengths are scaled, so some floor below a tower's top straddles beta(i)
+    induce = ietlab.ktheory.induce
+
+    def scaled(T, Y, max_steps):
+        step = induce(T, Y, max_steps=max_steps)
+        alpha = [a * factor for a in step.induced.alpha]
+        return dataclasses.replace(step, induced=iet_new(step.induced.sigma, alpha))
+
+    monkeypatch.setattr(ietlab.ktheory, "induce", scaled)
+    T = example()
+    Y = whole_interval(T) if window is None else basic_interval(T, window)
+    with pytest.raises(ConsistencyViolation, match=f"^{re.escape(message)}$"):
+        towers(T, Y)
 
 
 def test_bratteli_export_format(sqrt2_iet):
@@ -294,6 +336,12 @@ def test_orbit_classes_walk(sqrt2_iet):
         shift = coinvariant_shift(sqrt2_iet.sigma, i)
         assert tuple(a + s for a, s in zip(classes[k], shift)) == classes[k + 1]
         x = sqrt2_iet.apply(x)
+
+
+def test_orbit_classes_rejects_negative_depth(sqrt2_iet):
+    assert orbit_classes(sqrt2_iet, 0) == ((0, 0),)
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        orbit_classes(sqrt2_iet, -1)
 
 
 def test_strip_class_matrix_frozen(sqrt2_iet, golden_iet):
