@@ -27,7 +27,7 @@ from . import ktheory, measures, suspension
 from .errors import IetlabError, ParseError
 from .exactnum import (QuadReal, _clipped, _integer_token, _quoted, format_quad, parse_quad,
                        quad, quad_approx)
-from .iet import Iet, Permutation, idoc_check, iet_new
+from .iet import Iet, Permutation, _points, idoc_check, iet_new
 from .induction import (DEFAULT_MAX_STEPS, InductionStep, basic_interval, induce,
                         shrink_sequence)
 from .intmat import det
@@ -197,7 +197,7 @@ def _matrix_rows(kind: str, matrix, k: object = "") -> list[Row]:
 
 def _cmd_orbit(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     T = _make_iet(config)
-    orbit = islice(T.walk(config.y0), config.depth + 1)
+    orbit = islice(_points(T, config.y0), config.depth + 1)
     return [_row("orbit_point", x, k, i) for k, (i, x) in enumerate(orbit)], 0
 
 

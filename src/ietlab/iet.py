@@ -1,9 +1,8 @@
 """Interval exchange transformations, orbits, and the distinct-orbit test.
 
-Every orbit of a point and every block flowed under a map goes through one
-generator, ``Iet.walk``: it yields each point with its interval index,
-steps forward or backward, and guards a block against crossing a
-separation point.  ``_lattice_walk`` runs the same walk in integers.
+Every walk of a point or a block under a map, forward or backward, steps through
+one generator, ``_steps``, on the map's cached integer lattice: ``_lattice_walk``
+adds the window, width and budget tests, and ``_points`` reads ``QuadReal`` points.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (ConsistencyViolation, InvalidPermutation, MixedRadicand, NonPositiveLength,
                      OutOfDomain)
 from .exactnum import QuadReal, _as_quad, _clipped, _trusted, quad
+
+_Lattice = tuple[int, int, list[tuple[int, int]]]  # (d, D, pairs), each pair (p, q) = (p + q*sqrt(d))/D
 
 
 @dataclass(frozen=True)
@@ -105,34 +106,14 @@ class Iet:
         return x - self._inverse_tau[self.image_interval_index(x) - 1]
 
     @cached_property
-    def _forward_lattice(self) -> tuple[int, int, list[tuple[int, int]]]:
+    def _forward_lattice(self) -> _Lattice:
         """The ends beta and moves tau on the integer lattice of ``_lattice``."""
         return _lattice([*self.beta, *self.tau])
 
     @cached_property
-    def _backward_lattice(self) -> tuple[int, int, list[tuple[int, int]]]:
+    def _backward_lattice(self) -> _Lattice:
         """The ends beta' and moves -tau(sigma^-1(k)) on the integer lattice of ``_lattice``."""
         return _lattice([*self.beta_prime, *(-t for t in self._inverse_tau)])
-
-    def walk(self, x: QuadReal, width: Optional[QuadReal] = None,
-             backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
-        """Yield (i, y) for y = x, T(x), T^2(x), ..., with y in I(i).
-
-        With ``backward`` the walk follows T^-1 and i indexes the image
-        interval I'(i).  With a ``width`` the block [y, y + width) is walked,
-        and asking to step it across a separation point raises
-        ConsistencyViolation.
-        """
-        if backward:
-            index, ends, name = self.image_interval_index, self.beta_prime, "beta'"
-        else:
-            index, ends, name = self.interval_index, self.beta, "beta"
-        while True:
-            i = index(x)
-            yield i, x
-            if width is not None and not x + width <= ends[i]:
-                raise ConsistencyViolation(f"block [{x}, {x + width}) crosses {name}({i})")
-            x = x - self._inverse_tau[i - 1] if backward else x + self.tau[i - 1]
 
     def iterate(self, x: QuadReal, power: int) -> QuadReal:
         step = self.apply if power >= 0 else self.apply_inverse
@@ -156,8 +137,7 @@ def _point(p: int, q: int, D: int, d: int) -> QuadReal:
     return _trusted(Fraction(p, D), Fraction(q, D), d)
 
 
-def _lattice(values: Sequence[QuadReal], d: int = 0,
-             D: int = 1) -> tuple[int, int, list[tuple[int, int]]]:
+def _lattice(values: Sequence[QuadReal], d: int = 0, D: int = 1) -> _Lattice:
     """(d, D, pairs): each value as (p, q) meaning (p + q*sqrt(d))/D; d and D extend the given ones."""
     radicands = list(dict.fromkeys(r for r in (d, *(v.d for v in values)) if r))
     if len(radicands) > 1:
@@ -167,36 +147,65 @@ def _lattice(values: Sequence[QuadReal], d: int = 0,
             [(v.a.numerator * D // v.a.denominator, v.b.numerator * D // v.b.denominator) for v in values])
 
 
-def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = None,
-                  window: tuple[QuadReal, ...] = (), backward: bool = False,
-                  open_left: bool = False) -> tuple[list[int], Optional[QuadReal]]:
-    """Walk x, T(x), ... (T^-1 with ``backward``) over at most ``stop`` points, in integers.
+def _encode(T: Iet, values: Sequence[QuadReal],
+            backward: bool = False) -> tuple[_Lattice, list[tuple[int, int]]]:
+    """The map's cached lattice (of T^-1 with ``backward``) extended to hold ``values``, and their pairs.
 
-    x, the window and the width join the map's cached lattice; a new denominator among them
-    rescales a copy of the map's pairs.  Each point is located (OutOfDomain as in ``interval_index``),
-    then tested against the window [a, b) ((a, b) with ``open_left``) from T(x) on, or from
-    x on backward; a walk back at x without entering it never will.  Before each step, the
-    block [y, y + width) must not cross the end of its interval.  Returns the interval
-    indices of the points before the exit, and the point that entered the window or None.
+    A new denominator among the values rescales a copy of the map's pairs, never the cached list.
     """
     d, D, pairs = T._backward_lattice if backward else T._forward_lattice
-    d, scaled, extra = _lattice([x, *window, *([] if width is None else [width])], d, D)
+    d, scaled, extra = _lattice(values, d, D)
     if scaled != D:
-        k, D = scaled // D, scaled
-        pairs = [(p * k, q * k) for p, q in pairs]
-    n, name = T.n, "beta'" if backward else "beta"
-    edges, moves, start = pairs[:n + 1], pairs[n + 1:], extra[0]
-    (ap, aq), (bp, bq) = extra[1:3] if window else ((0, 0), (0, 0))
-    if width is not None:
-        limits = [(p - extra[-1][0], q - extra[-1][1]) for p, q in edges]
+        pairs = [(p * scaled // D, q * scaled // D) for p, q in pairs]
+    return (d, scaled, pairs), extra
+
+
+def _steps(T: Iet, lattice: _Lattice, start: tuple[int, int]) -> Iterator[tuple[int, int, int]]:
+    """Yield (i, p, q) for y = x, T(x), ... (T^-1 on a backward lattice), y in I(i), x at ``start``.
+
+    i counts the ends at or below y, as bisect_right does; y is stepped only when resumed.
+    """
+    d, D, pairs = lattice
+    n = T.n
+    edges, moves = pairs[:n + 1], pairs[n + 1:]
     p, q = start
-    word: list[int] = []
-    for s in range(stop):
-        i = n + 1  # the number of ends at or below the point, as bisect_right counts
+    while True:
+        i = n + 1
         while i and _positive(edges[i - 1][0] - p, edges[i - 1][1] - q, d):
             i -= 1
         if not 0 < i <= n:
             raise OutOfDomain(f"{_point(p, q, D, d)} outside [0, {T.total})")
+        yield i, p, q
+        p, q = p + moves[i - 1][0], q + moves[i - 1][1]
+
+
+def _points(T: Iet, x: QuadReal, backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
+    """Yield (i, y) for y = x, T(x), T^2(x), ... (T^-1 and I'(i) with ``backward``), y in I(i)."""
+    lattice, (start,) = _encode(T, [x], backward)
+    d, D, _ = lattice
+    for i, p, q in _steps(T, lattice, start):
+        yield i, _point(p, q, D, d)
+
+
+def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = None,
+                  window: tuple[QuadReal, ...] = (), backward: bool = False,
+                  open_left: bool = False) -> tuple[list[int], Optional[QuadReal]]:
+    """Walk x, T(x), ... (T^-1 with ``backward``) over at most ``stop`` points of ``_steps``.
+
+    x, the window and the width join the map's lattice.  Each point is tested against the
+    window [a, b) ((a, b) with ``open_left``) from T(x) on, or from x on backward; a walk
+    back at x without entering it never will.  Before each step, the block [y, y + width)
+    must not cross the end of its interval.  Returns the interval indices of the points
+    before the exit, and the point that entered the window or None.
+    """
+    lattice, extra = _encode(T, [x, *window, *([] if width is None else [width])], backward)
+    d, D, pairs = lattice
+    name, start = "beta'" if backward else "beta", extra[0]
+    (ap, aq), (bp, bq) = extra[1:3] if window else ((0, 0), (0, 0))
+    if width is not None:
+        limits = [(p - extra[-1][0], q - extra[-1][1]) for p, q in pairs[:T.n + 1]]
+    word: list[int] = []
+    for s, (i, p, q) in zip(range(stop), _steps(T, lattice, start)):
         if window and (s or backward):
             left = _positive(p - ap, q - aq, d) if open_left else not _positive(ap - p, aq - q, d)
             if left and _positive(bp - p, bq - q, d):
@@ -207,19 +216,7 @@ def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = No
         if width is not None and s + 1 < stop and _positive(p - limits[i][0], q - limits[i][1], d):
             y = _point(p, q, D, d)
             raise ConsistencyViolation(f"block [{y}, {y + width}) crosses {name}({i})")
-        p, q = p + moves[i - 1][0], q + moves[i - 1][1]
     return word, None
-
-
-def _lattice_orbit(T: Iet, start: tuple[int, int], steps: int) -> list[tuple[int, int]]:
-    """The pairs of T(y), ..., T^steps(y), where ``start`` is y's pair on the map's forward lattice."""
-    d, D, pairs = T._forward_lattice
-    moves, (p, q) = pairs[T.n + 1:], start
-    orbit = []
-    for i in _lattice_walk(T, _point(p, q, D, d), steps)[0]:
-        p, q = p + moves[i - 1][0], q + moves[i - 1][1]
-        orbit.append((p, q))
-    return orbit
 
 
 def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:
@@ -256,7 +253,7 @@ def orbit(T: Iet, x: QuadReal, k_from: int, k_to: int) -> tuple[QuadReal, ...]:
     """Exact points T^k(x) for k in [k_from, k_to]."""
     if k_from > k_to:
         raise ValueError("empty exponent range")
-    return tuple(y for _, y in islice(T.walk(T.iterate(x, k_from)), k_to - k_from + 1))
+    return tuple(y for _, y in islice(_points(T, T.iterate(x, k_from)), k_to - k_from + 1))
 
 
 @dataclass(frozen=True)
@@ -301,13 +298,11 @@ def idoc_check(T: Iet, depth: int) -> IdocResult:
         raise ValueError("depth must be >= 1")
     if not irreducible(T.sigma):
         return IdocResult(False, depth, None, "sigma is reducible")
-    seen: dict[tuple[int, int], tuple[int, int]] = {}  # all points at one D: equal pairs, equal points
-    for i, y in enumerate(T._forward_lattice[2][1:T.n], start=1):
-        orbit, k, chunk = [y], 0, 16
-        while orbit:  # in doubling chunks, so that an early collision ends the walk early
-            for y in orbit:
-                if y in seen:
-                    return IdocResult(False, depth, (seen[y], (i, k)), "orbit collision")
-                seen[y], k = (i, k), k + 1
-            orbit, chunk = _lattice_orbit(T, y, min(chunk, depth + 1 - k)), 2 * chunk
+    seen: dict[tuple[int, int], tuple[int, int]] = {}  # one lattice: equal pairs, equal points
+    lattice, starts = _encode(T, T.beta[1:T.n])
+    for i, y in enumerate(starts, start=1):
+        for k, (_, p, q) in enumerate(islice(_steps(T, lattice, y), depth + 1)):
+            if (p, q) in seen:
+                return IdocResult(False, depth, (seen[p, q], (i, k)), "orbit collision")
+            seen[p, q] = (i, k)
     return IdocResult(True, depth)

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 from .errors import ConsistencyViolation, HorizonExceedsDepth, ReturnTimeExceeded, ShapeViolation
 from .exactnum import QuadReal, quad
-from .iet import Iet, Permutation, _lattice_walk, tiles
+from .iet import Iet, Permutation, _lattice_walk, _points, tiles
 from .induction import DEFAULT_MAX_STEPS, AdmissibleInterval, InductionStep, induce
 from .intmat import IntMatrix, column_sums, det, freeze, identity_plus_unit
 from .measures import ConeApprox
@@ -71,7 +71,7 @@ def towers(T: Iet, Y: AdmissibleInterval, max_steps: int = DEFAULT_MAX_STEPS) ->
     result = []
     for l, (width, height) in enumerate(zip(step.induced.alpha, step.return_times), start=1):
         floors = []
-        for t, (i, x) in enumerate(islice(T.walk(ends[l - 1]), height + 1)):
+        for t, (i, x) in enumerate(islice(_points(T, ends[l - 1]), height + 1)):
             right = x + width
             if t:
                 floors.append((x, right))
@@ -135,7 +135,7 @@ def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal]
     for m in range(1, len(cur)):
         width = cur[m] - cur[m - 1]
         counts = [0] * (len(prev) - 1)
-        for t, (i, x) in enumerate(islice(T.walk(cur[m - 1]), max_steps)):
+        for t, (i, x) in enumerate(islice(_points(T, cur[m - 1]), max_steps)):
             right = x + width
             if t and cur[0] <= x and right <= cur[-1]:
                 break

@@ -12,13 +12,15 @@ matrix product is entrywise positive.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .errors import OutOfDomain
 from .exactnum import QuadReal, _as_quad, quad
-from .iet import Iet, _lattice_walk
+from .iet import Iet, _encode, _steps
 from .induction import InductionStep
 from .intmat import IntMatrix, identity, mat_mul
 
@@ -126,10 +128,10 @@ def empirical_measure(T: Iet, p: QuadReal | Fraction | int, m: int, n_steps: int
     x = _as_quad(p)
     if x < quad(0) or not x < T.total:
         raise OutOfDomain(f"point {x} outside [0, {T.total})")
-    visits = _lattice_walk(T, x, m + n_steps + 1)[0][m:]
-    counts = [visits.count(i) for i in range(1, T.n + 1)]
-    raw = tuple(Fraction(c, n_steps) for c in counts)
-    normalized = tuple(Fraction(c, n_steps + 1) for c in counts)
+    lattice, (start,) = _encode(T, [x])
+    visits = Counter(i for i, _, _ in islice(_steps(T, lattice, start), m, m + n_steps + 1))
+    raw = tuple(Fraction(visits[i], n_steps) for i in range(1, T.n + 1))
+    normalized = tuple(Fraction(visits[i], n_steps + 1) for i in range(1, T.n + 1))
     return MeasureVector(raw=raw, normalized=normalized)
 
 

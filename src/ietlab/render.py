@@ -27,10 +27,9 @@ Layout constants:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 
 from .exactnum import QuadReal, quad, quad_approx
-from .iet import Iet
+from .iet import Iet, orbit
 from .suspension import StripLevel
 
 SQUARE = 400
@@ -92,7 +91,7 @@ def render_strip_level(T: Iet, level: StripLevel) -> str:
         lines.append(f'<line x1="{xp}" y1="{_py(top)}" x2="{xp}" y2="{_py(top + 8)}" stroke="black"/>')
         lines.append(f'<text x="{xp}" y="{_py(top - 6)}" text-anchor="middle">b\'{i}</text>')
     if level.K <= MAX_ORBIT_LABELS:
-        for k, (_, x) in enumerate(islice(T.walk(quad(0)), 1, level.K + 1), start=1):
+        for k, x in enumerate(orbit(T, quad(0), 1, level.K), start=1):
             lines.append(
                 f'<text x="{_px(unit, x)}" y="{_py(bottom + 26)}" text-anchor="middle">T{k}</text>'
             )

@@ -30,7 +30,7 @@ from .errors import (
     ShapeViolation,
 )
 from .exactnum import QuadReal, _clipped, quad
-from .iet import Iet, Permutation, _lattice_orbit, irreducible, tiles
+from .iet import Iet, Permutation, _encode, _point, _steps, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze, identity_plus_unit
 
@@ -213,48 +213,50 @@ MarkerTable = dict[tuple[int, int], Marker]
 class _OrbitCache:
     """Orbits of 0 and of beta(1..n-1): the strip layer's only walks, deepened level by level.
 
-    Depths, markers and strip floors all read the orbit of 0 from ``point``.
-    T is injective.  So the first repeat of the orbit of 0 is a return to 0,
-    whose predecessor T^-1(0) = beta(sigma^-1(1) - 1) is a separation point
-    for irreducible sigma: the separation guard leaves no repeat to test.
-    And T^k beta(i) = T^m beta(j), k > m, holds exactly when T^(k-m) beta(i)
-    = beta(j): the distinct-orbit test only looks for separation points.
+    Each orbit is one live ``_steps`` walk; depths, markers and floors read the orbit of
+    0 from ``point``.  T is injective.  So the first repeat of the orbit of 0 is a return
+    to 0, whose predecessor T^-1(0) = beta(sigma^-1(1) - 1) is a separation point for
+    irreducible sigma: the separation guard leaves no repeat to test.  And T^k beta(i) =
+    T^m beta(j), k > m, holds exactly when T^(k-m) beta(i) = beta(j): the distinct-orbit
+    test resumes each separation orbit and only looks for separation points.
     """
 
     def __init__(self, T: Iet, max_steps: int) -> None:
         self.T = T
         self.max_steps = max_steps
-        self.orbit = islice(T.walk(quad(0)), max_steps + 1)
+        self.lattice, (zero, *separation) = _encode(T, [quad(0), *T.beta[1:-1]])
+        self.orbit = islice(_steps(T, self.lattice, zero), max_steps + 1)
         self.points: list[tuple[int, QuadReal]] = []
-        self.separation = set(T.beta[1:-1])
-        self.separation_orbits = T._forward_lattice[2][1:T.n]  # lattice pairs, at distinct_depth
-        self.separation_pairs = set(self.separation_orbits)
+        self.separation_pairs = set(separation)
+        self.separation_orbits = [islice(_steps(T, self.lattice, y), 1, None) for y in separation]
         self.distinct_depth = self.marker_depth = 0
         # (primed, i) -> [highest, lowest] (exponent, point) in I(i), or in I'(i) when primed
         self.extremes: dict[tuple[bool, int], list[tuple[int, QuadReal]]] = {}
 
     def point(self, k: int) -> tuple[int, QuadReal]:
         """(i, T^k(0)) with T^k(0) in I(i)."""
+        d, D, _ = self.lattice
         while len(self.points) <= k:
             step = next(self.orbit, None)
             if step is None:
                 raise DepthExceeded(f"orbit of 0 longer than {self.max_steps} steps")
-            if step[1] in self.separation:
+            i, p, q = step
+            if (p, q) in self.separation_pairs:
                 raise NotVerifiedIDOC(
                     f"orbit of 0 hits a separation point at exponent {len(self.points)}"
                 )
-            self.points.append(step)
+            self.points.append((i, _point(p, q, D, d)))
         return self.points[k]
 
     def deepen(self, K: int) -> tuple[MarkerTable, MarkerTable]:
         """Test distinct orbits below depth K + 1, then give the marker tables at depth K."""
         if self.distinct_depth <= K:
             steps = K + 1 - self.distinct_depth
-            orbits = [_lattice_orbit(self.T, y, steps) for y in self.separation_orbits]
-            if any(not self.separation_pairs.isdisjoint(orbit) for orbit in orbits):
-                raise NotVerifiedIDOC(
-                    f"distinct-orbit check failed below depth {K + 1}: orbit collision")
-            self.separation_orbits, self.distinct_depth = [orbit[-1] for orbit in orbits], K + 1
+            for orbit in self.separation_orbits:
+                if any((p, q) in self.separation_pairs for _, p, q in islice(orbit, steps)):
+                    raise NotVerifiedIDOC(
+                        f"distinct-orbit check failed below depth {K + 1}: orbit collision")
+            self.distinct_depth = K + 1
         T, extremes = self.T, self.extremes
         for k in range(self.marker_depth + 1, K + 1):
             (i, x), (_, y) = self.point(k), self.point(k + 1)

@@ -1,15 +1,16 @@
 """Shared oracles for the test suite.
 
-Five independent cross-checks back the exact code paths: a 60-digit mpmath
+Six independent cross-checks back the exact code paths: a 60-digit mpmath
 simulation of the same maps, a naive iterate-until-return loop that knows
 nothing about induction bookkeeping, a Rauzy-Veech step that induces by
 arithmetic on (sigma, alpha) without walking an orbit, the induction step
-checks summed as ``QuadReal`` products, and the distinct-orbit search keyed
-by ``QuadReal`` points.
+checks summed as ``QuadReal`` products, a walk that steps ``QuadReal``
+points, and the distinct-orbit search keyed by ``QuadReal`` points.
 """
 
 from fractions import Fraction
 from itertools import islice
+from typing import Iterator, Optional
 
 import mpmath
 
@@ -190,15 +191,36 @@ def verify_step_by_quad_sums(step: InductionStep, landings: list[QuadReal]) -> N
         raise ConsistencyViolation("return landings do not tile J")
 
 
+def quad_walk(T: Iet, x: QuadReal, width: Optional[QuadReal] = None,
+              backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
+    """Yield (i, y) for y = x, T(x), T^2(x), ..., with y in I(i).
+
+    With ``backward`` the walk follows T^-1 and i indexes the image
+    interval I'(i).  With a ``width`` the block [y, y + width) is walked,
+    and asking to step it across a separation point raises
+    ConsistencyViolation.
+    """
+    if backward:
+        index, ends, name = T.image_interval_index, T.beta_prime, "beta'"
+    else:
+        index, ends, name = T.interval_index, T.beta, "beta"
+    while True:
+        i = index(x)
+        yield i, x
+        if width is not None and not x + width <= ends[i]:
+            raise ConsistencyViolation(f"block [{x}, {x + width}) crosses {name}({i})")
+        x = x - T._inverse_tau[i - 1] if backward else x + T.tau[i - 1]
+
+
 def idoc_by_quad_walk(T: Iet, depth: int) -> IdocResult:
-    """``idoc_check`` stepped by ``Iet.walk`` and keyed by ``QuadReal`` points."""
+    """``idoc_check`` stepped by ``quad_walk`` and keyed by ``QuadReal`` points."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not irreducible(T.sigma):
         return IdocResult(False, depth, None, "sigma is reducible")
     seen: dict[QuadReal, tuple[int, int]] = {}
     for i in range(1, T.n):
-        for k, (_, x) in enumerate(islice(T.walk(T.beta[i]), depth + 1)):
+        for k, (_, x) in enumerate(islice(quad_walk(T, T.beta[i]), depth + 1)):
             if x in seen:
                 return IdocResult(False, depth, (seen[x], (i, k)), "orbit collision")
             seen[x] = (i, k)

@@ -1,6 +1,7 @@
-"""Static checks on the package source: no unused import, no unreferenced private name.
+"""Static checks on the package source: no unused import, no unreferenced private name,
+and map stepping kept behind ``iet.py``.
 
-Both read the modules with ``ast`` only, so they need no linter.
+All read the modules with ``ast`` only, so they need no linter.
 """
 
 import ast
@@ -67,3 +68,20 @@ def test_every_private_name_is_referenced():
     used = set().union(*(used_names(tree) for tree in MODULES.values()))
     private = {name for tree in MODULES.values() for name in private_definitions(tree)}
     assert sorted(private - used) == []
+
+
+# a map's moves and lattices: whoever reads them can step the map
+MAP_STEPPING = {"_forward_lattice", "_backward_lattice", "tau", "_inverse_tau"}
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"iet.py"}))
+def test_only_iet_reads_the_map_moves(module):
+    read = {node.attr for node in ast.walk(MODULES[module]) if isinstance(node, ast.Attribute)}
+    assert sorted(read & MAP_STEPPING) == []
+
+
+def test_no_class_defines_a_walk():
+    walks = [f"{module}:{node.name}" for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef) and item.name == "walk" for item in node.body)]
+    assert walks == []

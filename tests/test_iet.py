@@ -24,9 +24,9 @@ from ietlab import (
     quad,
     radical,
 )
-from ietlab.iet import _lattice, _lattice_walk, tiles
+from ietlab.iet import _lattice, _lattice_walk, _points, tiles
 from helpers import (FloatIet, count_compares, four_example, golden_example, idoc_by_quad_walk,
-                     random_irreducible, random_quad_iet, sqrt2_example, to_mp)
+                     quad_walk, random_irreducible, random_quad_iet, sqrt2_example, to_mp)
 
 
 def test_permutation_basics():
@@ -289,8 +289,8 @@ def test_walk_matches_repeated_steps(case, steps):
         y = T.apply(y)
         backward.append((T.image_interval_index(z), z))
         z = T.apply_inverse(z)
-    assert list(islice(T.walk(x), steps)) == forward
-    assert list(islice(T.walk(x, backward=True), steps)) == backward
+    assert list(islice(quad_walk(T, x), steps)) == forward
+    assert list(islice(quad_walk(T, x, backward=True), steps)) == backward
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,7 +308,7 @@ def test_block_walk_stops_exactly_at_a_crossing(case, backward, steps):
             crossing = True
             break
         y = step(y)
-    walk = T.walk(x, width, backward=backward)
+    walk = quad_walk(T, x, width, backward=backward)
     assert [y for _, y in islice(walk, len(expected))] == expected
     if crossing:
         with pytest.raises(ConsistencyViolation):
@@ -316,13 +316,13 @@ def test_block_walk_stops_exactly_at_a_crossing(case, backward, steps):
 
 
 def lattice_walk_by_quad_steps(T, x, stop, width, window, backward, open_left):
-    """What ``_lattice_walk`` must return, from ``Iet.walk`` and ``QuadReal`` tests.
+    """What ``_lattice_walk`` must return, from ``quad_walk`` and ``QuadReal`` tests.
 
-    Iet.walk runs its crossing test when it is resumed, so a block is tested
+    quad_walk runs its crossing test when it is resumed, so a block is tested
     only before a step, and never at the last point of the budget.
     """
     word = []
-    walk = T.walk(x, width, backward=backward)
+    walk = quad_walk(T, x, width, backward=backward)
     for s in range(stop):
         i, y = next(walk)
         if window and (s or backward):
@@ -342,10 +342,10 @@ def outcome(walk, *args):
         return type(error).__name__, str(error)
 
 
-def check_against_floats(T, x, word, landing, backward):
-    """Follow the word in 60-digit floats: each point lies in its interval, and the walk ends at landing."""
+def float_walk(T, x, word, backward):
+    """60-digit floats of x and of each point the word steps to; each lies in its interval before its step."""
     reference = FloatIet(T.sigma.images, [to_mp(a) for a in T.alpha])
-    y = to_mp(x)
+    points = [to_mp(x)]
     for i in word:
         if backward:  # i indexes I'(i), the image of I(j) for sigma(j) = i
             j = T.sigma.inverse()(i)
@@ -353,9 +353,14 @@ def check_against_floats(T, x, word, landing, backward):
             move = -reference.tau[j - 1]
         else:
             low, high, move = reference.beta[i - 1], reference.beta[i], reference.tau[i - 1]
-        assert low - 1e-40 < y < high + 1e-40
-        y += move
-    assert abs(y - to_mp(landing)) < 1e-40
+        assert low - 1e-40 < points[-1] < high + 1e-40
+        points.append(points[-1] + move)
+    return points
+
+
+def check_against_floats(T, x, word, landing, backward):
+    """Follow the word in 60-digit floats: each point lies in its interval, and the walk ends at landing."""
+    assert abs(float_walk(T, x, word, backward)[-1] - to_mp(landing)) < 1e-40
 
 
 @st.composite
@@ -394,6 +399,42 @@ def test_lattice_walk_matches_quad_walk(case, backward, with_width, open_left, s
     assert got == expected
     if isinstance(got[0], list) and got[1] is not None:
         check_against_floats(T, x, *got, backward)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases() | periodic_walk_cases(), st.booleans(), st.integers(1, 60), st.data())
+def test_point_view_matches_quad_walk(case, backward, steps, data):
+    T, x, _ = case
+    start = data.draw(st.sampled_from(["drawn", "total", "sqrt3"]))
+    if start == "total":
+        x = T.total  # out of the domain
+    elif start == "sqrt3" and not any(a.d for a in T.alpha):
+        x = T.total * (radical(3) - 1) / 2  # a rational map walks the point in Q(sqrt(3))
+    expected = outcome(lambda: list(islice(quad_walk(T, x, backward=backward), steps)))
+    got = outcome(lambda: list(islice(_points(T, x, backward), steps)))
+    assert got == expected
+    if isinstance(got, list):
+        floats = float_walk(T, x, [i for i, _ in got], backward)
+        assert all(abs(to_mp(y) - f) < 1e-40 for (_, y), f in zip(got, floats))
+
+
+def test_point_view_rejects_a_mixed_radicand():
+    # both ends of the first interval search are irrational, so the oracle fails at the first point too
+    for T in (sqrt2_example(), golden_example()):
+        x = T.total * (radical(3) - 1) / 2
+        for backward in (False, True):
+            message = f"sqrt(3) and sqrt({T.alpha[0].d}) cannot mix"
+            assert outcome(lambda: next(_points(T, x, backward))) == ("MixedRadicand", message)
+            assert outcome(lambda: next(quad_walk(T, x, backward=backward))) == ("MixedRadicand", message)
+
+
+def test_orbit_matches_quad_walk():
+    for T in (sqrt2_example(), golden_example(), four_example()):
+        for x in (quad(0), T.beta[1], T.total / 3):
+            start = list(islice(quad_walk(T, x, backward=True), 4))[-1][1]  # T^-3(x)
+            expected = tuple(y for _, y in islice(quad_walk(T, start), 9))
+            assert expected[3] == x
+            assert orbit(T, x, -3, 5) == expected
 
 
 def cached_lattices(T):

@@ -40,7 +40,7 @@ from ietlab import (
 )
 import ietlab.ktheory
 from ietlab.ktheory import _verify_edge
-from helpers import four_example, golden_example, rank, sqrt2_example
+from helpers import four_example, golden_example, quad_walk, rank, sqrt2_example
 
 
 def test_towers_sqrt2(sqrt2_iet):
@@ -366,7 +366,7 @@ def test_lebesgue_trace_of_classes(sqrt2_iet, golden_iet):
             return sum((a * c for a, c in zip(T.alpha, v)), quad(0))
 
         classes = orbit_classes(T, 60)
-        for k, (_, x) in enumerate(islice(T.walk(quad(0)), 61)):
+        for k, (_, x) in enumerate(islice(quad_walk(T, quad(0)), 61)):
             assert tau(classes[k]) == x
         for level in strip_decomposition(T, depth):
             W = strip_class_matrix(T, level)

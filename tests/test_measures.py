@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -120,3 +121,15 @@ def test_empirical_measure_compares_few_times(monkeypatch):
     for T in maps:
         empirical_measure(T, 0, 0, 2000)
     assert calls[0] <= 100
+
+
+def test_empirical_measure_counts_in_constant_memory(sqrt2_iet):
+    # visits are counted as the walk yields them: a stored word of 200,001 entries takes 1.6 MB
+    tracemalloc.start()
+    try:
+        vector = empirical_measure(sqrt2_iet, quad(0), 0, 2 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(vector.normalized) == 1
+    assert peak < 2**20

@@ -299,6 +299,14 @@ def test_strips_report_orbit_collisions_at_their_depth(images, d, alpha, depth, 
     assert idoc_check(T, first - 1).verified and not idoc_check(T, first).verified
 
 
+def test_strips_report_a_one_step_connection():
+    # T(beta(2)) = beta(1): the first level's test of the separation orbits starts at T(beta(i))
+    T = iet_new(permutation(3, 1, 2), [quad(1), quad(1), parse_quad("4/1-1/2r", 2)])
+    assert idoc_check(T, 1).witness == ((1, 0), (2, 1))
+    with pytest.raises(NotVerifiedIDOC, match="^distinct-orbit check failed below depth 12: orbit collision$"):
+        strip_decomposition(T, 6)
+
+
 def test_strip_distinct_orbit_verdict_matches_idoc_check():
     # idoc_check searches every pair of separation-orbit points; the strip layer
     # only asks which orbit points are separation points, which injectivity makes equivalent
