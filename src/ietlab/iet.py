@@ -1,13 +1,14 @@
 """Interval exchange transformations, orbits, and the distinct-orbit test.
 
-Every walk of a point or a block under a map, forward or backward, steps through
-one generator, ``_steps``, on the map's cached integer lattice: ``_lattice_walk``
-adds the window, width and budget tests, and ``_points`` reads ``QuadReal`` points.
+Every move of a point or a block under a map, forward or backward, steps through
+one generator, ``_steps``, on the map's cached integer lattice, and so does every
+test of a block against the ends of its interval.  ``Iet``'s single steps and
+interval lookups read its first points; ``_lattice_walk`` adds the window and budget
+tests, and ``_points`` reads ``QuadReal`` points.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +21,7 @@ from .errors import (ConsistencyViolation, InvalidPermutation, MixedRadicand, No
 from .exactnum import QuadReal, _as_quad, _clipped, _trusted, quad
 
 _Lattice = tuple[int, int, list[tuple[int, int]]]  # (d, D, pairs), each pair (p, q) = (p + q*sqrt(d))/D
+_Encoded = tuple[int, int, list[tuple[int, int]], str]  # a map's _Lattice and the name of its ends
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.images)
-        if n < 2 or sorted(self.images) != list(range(1, n + 1)):
+        integers = all(type(i) is int for i in self.images)  # not bool, float or str
+        if n < 2 or not integers or sorted(self.images) != list(range(1, n + 1)):
             raise InvalidPermutation(f"not a permutation of 1..n: {_clipped(str(self.images))}")
 
     @property
@@ -81,29 +84,25 @@ class Iet:
 
     def interval_index(self, x: QuadReal) -> int:
         """The 1-based i with x in I(i); raises OutOfDomain otherwise."""
-        i = bisect_right(self.beta, x)
-        if not 0 < i <= self.n:
-            raise OutOfDomain(f"{x} outside [0, {self.total})")
-        return i
+        return next(_points(self, x))[0]
 
     def image_interval_index(self, x: QuadReal) -> int:
         """The 1-based k with x in I'(k) = [beta'(k-1), beta'(k))."""
-        k = bisect_right(self.beta_prime, x)
-        if not 0 < k <= self.n:
-            raise OutOfDomain(f"{x} outside [0, {self.total})")
-        return k
+        return next(_points(self, x, backward=True))[0]
 
     def apply(self, x: QuadReal) -> QuadReal:
-        return x + self.tau[self.interval_index(x) - 1]
-
-    @cached_property
-    def _inverse_tau(self) -> tuple[QuadReal, ...]:
-        """tau(sigma^-1(k)) for k = 1..n: the translation that lands on I'(k)."""
-        inv = self.sigma.inverse()
-        return tuple(self.tau[inv(k) - 1] for k in range(1, self.n + 1))
+        return self.iterate(x, 1)
 
     def apply_inverse(self, x: QuadReal) -> QuadReal:
-        return x - self._inverse_tau[self.image_interval_index(x) - 1]
+        return self.iterate(x, -1)
+
+    def iterate(self, x: QuadReal, power: int) -> QuadReal:
+        """T^power(x), converting only that point; x itself, unchecked, for power 0."""
+        if not power:
+            return x
+        lattice, (start,) = _encode(self, [x], power < 0)
+        _, p, q = next(islice(_steps(self, lattice, start), abs(power), None))
+        return _point(p, q, lattice[1], lattice[0])
 
     @cached_property
     def _forward_lattice(self) -> _Lattice:
@@ -113,13 +112,7 @@ class Iet:
     @cached_property
     def _backward_lattice(self) -> _Lattice:
         """The ends beta' and moves -tau(sigma^-1(k)) on the integer lattice of ``_lattice``."""
-        return _lattice([*self.beta_prime, *(-t for t in self._inverse_tau)])
-
-    def iterate(self, x: QuadReal, power: int) -> QuadReal:
-        step = self.apply if power >= 0 else self.apply_inverse
-        for _ in range(abs(power)):
-            x = step(x)
-        return x
+        return _lattice([*self.beta_prime, *(-self.tau[i - 1] for i in self.sigma.inverse().images)])
 
 
 def _positive(p: int, q: int, d: int) -> bool:
@@ -148,26 +141,32 @@ def _lattice(values: Sequence[QuadReal], d: int = 0, D: int = 1) -> _Lattice:
 
 
 def _encode(T: Iet, values: Sequence[QuadReal],
-            backward: bool = False) -> tuple[_Lattice, list[tuple[int, int]]]:
+            backward: bool = False) -> tuple[_Encoded, list[tuple[int, int]]]:
     """The map's cached lattice (of T^-1 with ``backward``) extended to hold ``values``, and their pairs.
 
     A new denominator among the values rescales a copy of the map's pairs, never the cached list.
+    The lattice carries the name of its ends, ``beta`` or ``beta'``, for ``_steps``' errors.
     """
     d, D, pairs = T._backward_lattice if backward else T._forward_lattice
-    d, scaled, extra = _lattice(values, d, D)
+    d, scaled, extra = _lattice([_as_quad(v) for v in values], d, D)
     if scaled != D:
         pairs = [(p * scaled // D, q * scaled // D) for p, q in pairs]
-    return (d, scaled, pairs), extra
+    return (d, scaled, pairs, "beta'" if backward else "beta"), extra
 
 
-def _steps(T: Iet, lattice: _Lattice, start: tuple[int, int]) -> Iterator[tuple[int, int, int]]:
+def _steps(T: Iet, lattice: _Encoded, start: tuple[int, int],
+           width: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, int, int]]:
     """Yield (i, p, q) for y = x, T(x), ... (T^-1 on a backward lattice), y in I(i), x at ``start``.
 
     i counts the ends at or below y, as bisect_right does; y is stepped only when resumed.
+    With a ``width``, resuming to step the block [y, y + width) past the end of I(i) raises
+    ConsistencyViolation, so a block is tested only before a step.
     """
-    d, D, pairs = lattice
+    d, D, pairs, name = lattice
     n = T.n
     edges, moves = pairs[:n + 1], pairs[n + 1:]
+    if width is not None:  # the block at y crosses end i when y > end - width
+        limits = [(ep - width[0], eq - width[1]) for ep, eq in edges]
     p, q = start
     while True:
         i = n + 1
@@ -176,14 +175,21 @@ def _steps(T: Iet, lattice: _Lattice, start: tuple[int, int]) -> Iterator[tuple[
         if not 0 < i <= n:
             raise OutOfDomain(f"{_point(p, q, D, d)} outside [0, {T.total})")
         yield i, p, q
+        if width is not None and _positive(p - limits[i][0], q - limits[i][1], d):
+            left, right = _point(p, q, D, d), _point(p + width[0], q + width[1], D, d)
+            raise ConsistencyViolation(f"block [{left}, {right}) crosses {name}({i})")
         p, q = p + moves[i - 1][0], q + moves[i - 1][1]
 
 
-def _points(T: Iet, x: QuadReal, backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
-    """Yield (i, y) for y = x, T(x), T^2(x), ... (T^-1 and I'(i) with ``backward``), y in I(i)."""
-    lattice, (start,) = _encode(T, [x], backward)
-    d, D, _ = lattice
-    for i, p, q in _steps(T, lattice, start):
+def _points(T: Iet, x: QuadReal, backward: bool = False,
+            width: Optional[QuadReal] = None) -> Iterator[tuple[int, QuadReal]]:
+    """Yield (i, y) for y = x, T(x), T^2(x), ... (T^-1 and I'(i) with ``backward``), y in I(i).
+
+    With a ``width``, ``_steps`` tests the block [y, y + width) before each step.
+    """
+    lattice, (start, *block) = _encode(T, [x] if width is None else [x, width], backward)
+    d, D, *_ = lattice
+    for i, p, q in _steps(T, lattice, start, *block):
         yield i, _point(p, q, D, d)
 
 
@@ -194,18 +200,15 @@ def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = No
 
     x, the window and the width join the map's lattice.  Each point is tested against the
     window [a, b) ((a, b) with ``open_left``) from T(x) on, or from x on backward; a walk
-    back at x without entering it never will.  Before each step, the block [y, y + width)
-    must not cross the end of its interval.  Returns the interval indices of the points
-    before the exit, and the point that entered the window or None.
+    back at x without entering it never will.  ``_steps`` tests the block [y, y + width)
+    before each step.  Returns the interval indices of the points before the exit, and the
+    point that entered the window or None.
     """
-    lattice, extra = _encode(T, [x, *window, *([] if width is None else [width])], backward)
-    d, D, pairs = lattice
-    name, start = "beta'" if backward else "beta", extra[0]
-    (ap, aq), (bp, bq) = extra[1:3] if window else ((0, 0), (0, 0))
-    if width is not None:
-        limits = [(p - extra[-1][0], q - extra[-1][1]) for p, q in pairs[:T.n + 1]]
-    word: list[int] = []
-    for s, (i, p, q) in zip(range(stop), _steps(T, lattice, start)):
+    lattice, (start, *extra) = _encode(T, [x, *window, *([] if width is None else [width])], backward)
+    d, D, *_ = lattice
+    (ap, aq), (bp, bq) = extra[:2] if window else ((0, 0), (0, 0))
+    word: list[int] = []  # zip reads range first, so the walk is never resumed after point stop
+    for s, (i, p, q) in zip(range(stop), _steps(T, lattice, start, *extra[len(window):])):
         if window and (s or backward):
             left = _positive(p - ap, q - aq, d) if open_left else not _positive(ap - p, aq - q, d)
             if left and _positive(bp - p, bq - q, d):
@@ -213,9 +216,6 @@ def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = No
             if s and (p, q) == start:
                 return word, None
         word.append(i)
-        if width is not None and s + 1 < stop and _positive(p - limits[i][0], q - limits[i][1], d):
-            y = _point(p, q, D, d)
-            raise ConsistencyViolation(f"block [{y}, {y + width}) crosses {name}({i})")
     return word, None
 
 

@@ -70,14 +70,8 @@ def towers(T: Iet, Y: AdmissibleInterval, max_steps: int = DEFAULT_MAX_STEPS) ->
     ends = [Y.left + b for b in step.induced.beta]
     result = []
     for l, (width, height) in enumerate(zip(step.induced.alpha, step.return_times), start=1):
-        floors = []
-        for t, (i, x) in enumerate(islice(_points(T, ends[l - 1]), height + 1)):
-            right = x + width
-            if t:
-                floors.append((x, right))
-            if t < height and not right <= T.beta[i]:  # stepped next, the block would split
-                raise ConsistencyViolation(f"block [{x}, {right}) crosses beta({i})")
-        result.append(Tower(l, ends[l - 1], ends[l], height, tuple(floors)))
+        walk = islice(_points(T, ends[l - 1], width=width), 1, height + 1)  # no step splits the block
+        result.append(Tower(l, ends[l - 1], ends[l], height, tuple((x, x + width) for _, x in walk)))
     if not tiles((f for t in result for f in t.floors), quad(0), T.total):
         raise ConsistencyViolation("tower floors do not tile the interval")
     return TowerPartition(Y=Y, towers=tuple(result), algebra_dims=tuple(t.height for t in result))
@@ -130,12 +124,13 @@ def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal]
     prev and cur are the absolute base ends of the previous and current
     level.  A block inside [prev[0], prev[-1]) must lie in one previous
     base, which counts towards column m of A; a block meeting it otherwise
-    straddles the window or a base.
+    straddles the window or a base.  The walk refuses to step a block across
+    an end of T's intervals.
     """
     for m in range(1, len(cur)):
         width = cur[m] - cur[m - 1]
         counts = [0] * (len(prev) - 1)
-        for t, (i, x) in enumerate(islice(_points(T, cur[m - 1]), max_steps)):
+        for t, (_, x) in enumerate(islice(_points(T, cur[m - 1], width=width), max_steps)):
             right = x + width
             if t and cur[0] <= x and right <= cur[-1]:
                 break
@@ -145,8 +140,6 @@ def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal]
             elif l < len(prev) and (l > 0 or prev[0] < right):  # the block meets [prev[0], prev[-1])
                 where = "the previous window" if l == 0 or prev[-1] < right else "a previous tower base"
                 raise ConsistencyViolation(f"walk block straddles {where}")
-            if t + 1 < max_steps and not right <= T.beta[i]:  # stepped next, the block would split
-                raise ConsistencyViolation(f"block [{x}, {right}) crosses beta({i})")
         else:
             raise ReturnTimeExceeded(f"no return within {max_steps} steps")
         column = [A[l][m - 1] for l in range(len(counts))]

@@ -235,7 +235,7 @@ class _OrbitCache:
 
     def point(self, k: int) -> tuple[int, QuadReal]:
         """(i, T^k(0)) with T^k(0) in I(i)."""
-        d, D, _ = self.lattice
+        d, D, *_ = self.lattice
         while len(self.points) <= k:
             step = next(self.orbit, None)
             if step is None:

@@ -4,19 +4,21 @@ Six independent cross-checks back the exact code paths: a 60-digit mpmath
 simulation of the same maps, a naive iterate-until-return loop that knows
 nothing about induction bookkeeping, a Rauzy-Veech step that induces by
 arithmetic on (sigma, alpha) without walking an orbit, the induction step
-checks summed as ``QuadReal`` products, a walk that steps ``QuadReal``
-points, and the distinct-orbit search keyed by ``QuadReal`` points.
+checks summed as ``QuadReal`` products, single steps and a walk that
+locate ``QuadReal`` points by bisection and add their moves, and the
+distinct-orbit search keyed by ``QuadReal`` points.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
 import mpmath
 
-from ietlab import (ConsistencyViolation, Iet, IdocResult, InductionStep, OrbitPoint, Permutation,
-                    QuadReal, column_sums, det, idoc_check, iet_new, irreducible, orbit_point, quad,
-                    quad_sign, radical)
+from ietlab import (ConsistencyViolation, Iet, IdocResult, InductionStep, OrbitPoint, OutOfDomain,
+                    Permutation, QuadReal, column_sums, det, idoc_check, iet_new, irreducible, orbit_point,
+                    quad, quad_sign, radical)
 from ietlab.iet import tiles
 from ietlab.intmat import IntMatrix, freeze
 
@@ -60,7 +62,7 @@ def naive_first_return(T: Iet, left: QuadReal, right: QuadReal, x: QuadReal,
     """Iterate T until the orbit re-enters [left, right); no induction machinery."""
     y = x
     for r in range(1, limit + 1):
-        y = T.apply(y)
+        y = quad_apply(T, y)
         if quad_sign(y - left) >= 0 and quad_sign(right - y) > 0:
             return r, y
     raise AssertionError(f"no return within {limit} steps")
@@ -191,6 +193,43 @@ def verify_step_by_quad_sums(step: InductionStep, landings: list[QuadReal]) -> N
         raise ConsistencyViolation("return landings do not tile J")
 
 
+def quad_interval_index(T: Iet, x: QuadReal) -> int:
+    """The 1-based i with x in I(i), by bisection over the ``QuadReal`` ends beta."""
+    i = bisect_right(T.beta, x)
+    if not 0 < i <= T.n:
+        raise OutOfDomain(f"{x} outside [0, {T.total})")
+    return i
+
+
+def quad_image_interval_index(T: Iet, x: QuadReal) -> int:
+    """The 1-based k with x in I'(k), by bisection over the ``QuadReal`` ends beta'."""
+    k = bisect_right(T.beta_prime, x)
+    if not 0 < k <= T.n:
+        raise OutOfDomain(f"{x} outside [0, {T.total})")
+    return k
+
+
+def inverse_tau(T: Iet) -> tuple[QuadReal, ...]:
+    """tau(sigma^-1(k)) for k = 1..n: the translation that lands on I'(k)."""
+    inv = T.sigma.inverse()
+    return tuple(T.tau[inv(k) - 1] for k in range(1, T.n + 1))
+
+
+def quad_apply(T: Iet, x: QuadReal) -> QuadReal:
+    return x + T.tau[quad_interval_index(T, x) - 1]
+
+
+def quad_apply_inverse(T: Iet, x: QuadReal) -> QuadReal:
+    return x - inverse_tau(T)[quad_image_interval_index(T, x) - 1]
+
+
+def quad_iterate(T: Iet, x: QuadReal, power: int) -> QuadReal:
+    step = quad_apply if power >= 0 else quad_apply_inverse
+    for _ in range(abs(power)):
+        x = step(T, x)
+    return x
+
+
 def quad_walk(T: Iet, x: QuadReal, width: Optional[QuadReal] = None,
               backward: bool = False) -> Iterator[tuple[int, QuadReal]]:
     """Yield (i, y) for y = x, T(x), T^2(x), ..., with y in I(i).
@@ -201,15 +240,16 @@ def quad_walk(T: Iet, x: QuadReal, width: Optional[QuadReal] = None,
     ConsistencyViolation.
     """
     if backward:
-        index, ends, name = T.image_interval_index, T.beta_prime, "beta'"
+        index, ends, name = quad_image_interval_index, T.beta_prime, "beta'"
+        moves = tuple(-t for t in inverse_tau(T))
     else:
-        index, ends, name = T.interval_index, T.beta, "beta"
+        index, ends, name, moves = quad_interval_index, T.beta, "beta", T.tau
     while True:
-        i = index(x)
+        i = index(T, x)
         yield i, x
         if width is not None and not x + width <= ends[i]:
             raise ConsistencyViolation(f"block [{x}, {x + width}) crosses {name}({i})")
-        x = x - T._inverse_tau[i - 1] if backward else x + T.tau[i - 1]
+        x = x + moves[i - 1]
 
 
 def idoc_by_quad_walk(T: Iet, depth: int) -> IdocResult:

@@ -1,5 +1,5 @@
 """Static checks on the package source: no unused import, no unreferenced private name,
-and map stepping kept behind ``iet.py``.
+map stepping kept behind ``iet.py``, and one step kernel and one block test inside it.
 
 All read the modules with ``ast`` only, so they need no linter.
 """
@@ -71,7 +71,7 @@ def test_every_private_name_is_referenced():
 
 
 # a map's moves and lattices: whoever reads them can step the map
-MAP_STEPPING = {"_forward_lattice", "_backward_lattice", "tau", "_inverse_tau"}
+MAP_STEPPING = {"_forward_lattice", "_backward_lattice", "tau"}
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"iet.py"}))
@@ -85,3 +85,35 @@ def test_no_class_defines_a_walk():
              if isinstance(node, ast.ClassDef)
              and any(isinstance(item, ast.FunctionDef) and item.name == "walk" for item in node.body)]
     assert walks == []
+
+
+def reads(node, name):
+    """True iff the node loads ``name`` or reads an attribute of that name."""
+    return any(isinstance(part, ast.Attribute) and part.attr == name
+               or isinstance(part, ast.Name) and part.id == name and isinstance(part.ctx, ast.Load)
+               for part in ast.walk(node))
+
+
+def functions(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_only_the_lattices_and_iet_new_read_tau():
+    # every other step in iet.py goes through the kernel on the map's lattices
+    readers = {f.name for f in functions(MODULES["iet.py"]) if reads(f, "tau")}
+    assert readers == {"iet_new", "_forward_lattice", "_backward_lattice"}
+
+
+def test_iet_imports_no_bisect():
+    tree = MODULES["iet.py"]
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "bisect" not in modules and not reads(tree, "bisect_right")
+
+
+def test_the_block_crossing_error_is_raised_once_in_the_kernel():
+    # _flow_strip reads its floors off the orbit table and steps nothing, so it keeps its own test
+    raisers = sorted((module, f.name) for module, tree in MODULES.items() for f in functions(tree)
+                     for node in ast.walk(f) if isinstance(node, ast.Raise)
+                     and "crosses" in ast.unparse(node))
+    assert raisers == [("iet.py", "_steps"), ("suspension.py", "_flow_strip")]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietlab import (
     ConsistencyViolation,
+    Iet,
     IetlabError,
     InvalidPermutation,
     MixedRadicand,
@@ -26,7 +27,9 @@ from ietlab import (
 )
 from ietlab.iet import _lattice, _lattice_walk, _points, tiles
 from helpers import (FloatIet, count_compares, four_example, golden_example, idoc_by_quad_walk,
-                     quad_walk, random_irreducible, random_quad_iet, sqrt2_example, to_mp)
+                     inverse_tau, quad_apply, quad_apply_inverse, quad_image_interval_index,
+                     quad_interval_index, quad_iterate, quad_walk, random_irreducible, random_quad_iet,
+                     sqrt2_example, to_mp)
 
 
 def test_permutation_basics():
@@ -46,6 +49,9 @@ def test_permutation_validation():
         permutation(2, 3)
     with pytest.raises(InvalidPermutation):
         Permutation(())
+    for images in ((2.0, 1.0), (2, True), (2, "1"), (Fraction(2), 1)):  # equal or unorderable to ints
+        with pytest.raises(InvalidPermutation, match="^not a permutation of 1..n: "):
+            Permutation(images)
 
 
 def test_irreducible():
@@ -402,16 +408,18 @@ def test_lattice_walk_matches_quad_walk(case, backward, with_width, open_left, s
 
 
 @settings(max_examples=200, deadline=None)
-@given(walk_cases() | periodic_walk_cases(), st.booleans(), st.integers(1, 60), st.data())
-def test_point_view_matches_quad_walk(case, backward, steps, data):
-    T, x, _ = case
+@given(walk_cases() | periodic_walk_cases(), st.booleans(), st.booleans(), st.integers(1, 60), st.data())
+def test_point_view_matches_quad_walk(case, backward, with_width, steps, data):
+    # with a width, the same points, then the same crossing text or none, before the same step
+    T, x, width = case
+    width = width if with_width else None
     start = data.draw(st.sampled_from(["drawn", "total", "sqrt3"]))
     if start == "total":
         x = T.total  # out of the domain
     elif start == "sqrt3" and not any(a.d for a in T.alpha):
         x = T.total * (radical(3) - 1) / 2  # a rational map walks the point in Q(sqrt(3))
-    expected = outcome(lambda: list(islice(quad_walk(T, x, backward=backward), steps)))
-    got = outcome(lambda: list(islice(_points(T, x, backward), steps)))
+    expected = outcome(lambda: list(islice(quad_walk(T, x, width, backward=backward), steps)))
+    got = outcome(lambda: list(islice(_points(T, x, backward, width), steps)))
     assert got == expected
     if isinstance(got, list):
         floats = float_walk(T, x, [i for i, _ in got], backward)
@@ -437,6 +445,51 @@ def test_orbit_matches_quad_walk():
             assert orbit(T, x, -3, 5) == expected
 
 
+def single_steps(power):
+    """Each single-step view of the kernel beside its bisect-and-add oracle, iterating by ``power``."""
+    return {"interval_index": (Iet.interval_index, quad_interval_index),
+            "image_interval_index": (Iet.image_interval_index, quad_image_interval_index),
+            "apply": (Iet.apply, quad_apply), "apply_inverse": (Iet.apply_inverse, quad_apply_inverse),
+            "iterate": (lambda T, x: T.iterate(x, power), lambda T, x: quad_iterate(T, x, power))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases() | periodic_walk_cases(), st.integers(-30, 30))
+def test_single_steps_match_the_quad_oracle(case, power):
+    T, x, _ = case
+    for name, (view, oracle) in single_steps(power).items():
+        assert view(T, x) == oracle(T, x), name
+    for name, (view, oracle) in single_steps(power or 1).items():
+        for y in (T.total, x - T.total):  # at the right end and below 0: the same text
+            got = outcome(view, T, y)
+            assert got[0] == "OutOfDomain" and got == outcome(oracle, T, y), name
+        if any(a.d for a in T.alpha):
+            with pytest.raises(MixedRadicand):
+                view(T, quad(Fraction(1, 7), Fraction(1, 100), 3 if T.alpha[0].d != 3 else 5))
+    assert T.iterate(T.total, 0) is T.total
+
+
+@pytest.mark.parametrize("start, expected", [
+    (Fraction(1, 2), None), (0, None),
+    (1, (OutOfDomain, "1/1 outside [0, 1/1)")), (-1, (OutOfDomain, "-1/1 outside [0, 1/1)")),
+    (0.5, (TypeError, "cannot interpret 0.5 as a quadratic number")),
+    ("1/2", (TypeError, "cannot interpret '1/2' as a quadratic number")),
+])
+def test_views_coerce_int_and_fraction_starts(start, expected):
+    T = sqrt2_example()
+    views = {"orbit": (lambda T, x: orbit(T, x, 0, 3),
+                       lambda T, x: tuple(quad_iterate(T, x, k) for k in range(4))),
+             **{f"{name} 3": pair for name, pair in single_steps(3).items()},
+             **{f"{name} -3": pair for name, pair in single_steps(-3).items()}}
+    for name, (view, oracle) in views.items():
+        if expected is None:
+            assert view(T, start) == oracle(T, quad(start)), name
+        else:
+            with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
+                view(T, start)
+    assert T.iterate(start, 0) is start  # power 0 reads nothing
+
+
 def cached_lattices(T):
     """The map's two cached encodings, with their pair lists copied."""
     return [(d, D, list(pairs)) for d, D, pairs in (T._forward_lattice, T._backward_lattice)]
@@ -452,7 +505,7 @@ def test_lattice_walk_leaves_the_cached_encoding_unchanged():
     for T in maps:
         saved = cached_lattices(T)
         assert saved == [_lattice([*T.beta, *T.tau]),
-                         _lattice([*T.beta_prime, *(-t for t in T._inverse_tau)])]
+                         _lattice([*T.beta_prime, *(-t for t in inverse_tau(T))])]
         assert all(D % 7 and D % 1009 for _, D, _ in saved)
         for x in (quad(Fraction(1, 7)), quad(Fraction(5, 1009)), T.beta[1]):
             for backward in (False, True):
