@@ -35,6 +35,7 @@ class Permutation:
         integers = all(type(i) is int for i in self.images)  # not bool, float or str
         if n < 2 or not integers or sorted(self.images) != list(range(1, n + 1)):
             raise InvalidPermutation(f"not a permutation of 1..n: {_clipped(str(self.images))}")
+        object.__setattr__(self, "images", tuple(self.images))  # a list compares and hashes as its tuple
 
     @property
     def n(self) -> int:

@@ -4,15 +4,16 @@ The first half computes the boundary permutation sigma_0 on {0..n}, its
 cycles, singularity multiplicities, prong counts, genus, and the fake-saddle
 and closed-transversal conditions, all exactly from the permutation.
 
-The second half builds the vertical strip decomposition of the suspension
-square.  Orbit points of 0 up to a depth K select, in every interval, an
-extreme left and right marker; the markers bound n strips that flow forward
-under T, floor by floor, until they run into the marked span of some
-separation point.  Raising K refines the decomposition, and consecutive
-levels are connected by an incidence matrix that is the identity plus one
-off-diagonal unit: exactly one strip splits, and one of the two pieces joins
-an existing strip.  Markers and floors read their orbit points of 0 from one
-table, the layer's only walks, which each level deepens past the last depth.
+The second half builds the vertical strip decomposition of the suspension square.  Orbit
+points of 0 up to a depth K select, in every interval, an extreme left and right marker;
+the markers bound n strips that flow forward under T, floor by floor, until they run into
+the marked span of some separation point.  Raising K refines the decomposition, and
+consecutive levels are connected by an incidence matrix that is the identity plus one
+off-diagonal unit: exactly one strip splits, and one of the two pieces joins an existing
+strip.  Markers and floors read their orbit points of 0 from one table, the layer's only
+walks, which each level deepens past the last depth.  The table holds each point as the
+integer pair that the walk yields, and every order test of the layer compares those pairs;
+a point becomes a ``QuadReal`` once, where a marker, a floor or an error text shows it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     ShapeViolation,
 )
 from .exactnum import QuadReal, _clipped, quad
-from .iet import Iet, Permutation, _encode, _point, _steps, irreducible, tiles
+from .iet import Iet, Permutation, _encode, _point, _positive, _steps, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze, identity_plus_unit
 
@@ -213,12 +214,12 @@ MarkerTable = dict[tuple[int, int], Marker]
 class _OrbitCache:
     """Orbits of 0 and of beta(1..n-1): the strip layer's only walks, deepened level by level.
 
-    Each orbit is one live ``_steps`` walk; depths, markers and floors read the orbit of
-    0 from ``point``.  T is injective.  So the first repeat of the orbit of 0 is a return
-    to 0, whose predecessor T^-1(0) = beta(sigma^-1(1) - 1) is a separation point for
-    irreducible sigma: the separation guard leaves no repeat to test.  And T^k beta(i) =
-    T^m beta(j), k > m, holds exactly when T^(k-m) beta(i) = beta(j): the distinct-orbit
-    test resumes each separation orbit and only looks for separation points.
+    Each orbit is one live ``_steps`` walk; depths, markers and floors read the orbit of 0
+    from ``point`` as its (i, p, q) and order it by ``less``.  T is injective.  So the first
+    repeat of the orbit of 0 is a return to 0, whose predecessor T^-1(0) = beta(sigma^-1(1) - 1)
+    is a separation point for irreducible sigma: the separation guard leaves no repeat to test.
+    And T^k beta(i) = T^m beta(j), k > m, holds exactly when T^(k-m) beta(i) = beta(j): the
+    distinct-orbit test resumes each separation orbit and only looks for separation points.
     """
 
     def __init__(self, T: Iet, max_steps: int) -> None:
@@ -226,30 +227,37 @@ class _OrbitCache:
         self.max_steps = max_steps
         self.lattice, (zero, *separation) = _encode(T, [quad(0), *T.beta[1:-1]])
         self.orbit = islice(_steps(T, self.lattice, zero), max_steps + 1)
-        self.points: list[tuple[int, QuadReal]] = []
+        self.points: list[tuple[int, int, int]] = []
+        self.values: dict[int, QuadReal] = {}
         self.separation_pairs = set(separation)
         self.separation_orbits = [islice(_steps(T, self.lattice, y), 1, None) for y in separation]
         self.distinct_depth = self.marker_depth = 0
-        # (primed, i) -> [highest, lowest] (exponent, point) in I(i), or in I'(i) when primed
-        self.extremes: dict[tuple[bool, int], list[tuple[int, QuadReal]]] = {}
+        # (primed, i) -> [highest, lowest] exponent of a point in I(i), or in I'(i) when primed
+        self.extremes: dict[tuple[bool, int], list[int]] = {}
 
-    def point(self, k: int) -> tuple[int, QuadReal]:
-        """(i, T^k(0)) with T^k(0) in I(i)."""
-        d, D, *_ = self.lattice
+    def point(self, k: int) -> tuple[int, int, int]:
+        """(i, p, q): T^k(0) = (p + q*sqrt(d))/D in I(i)."""
         while len(self.points) <= k:
             step = next(self.orbit, None)
             if step is None:
                 raise DepthExceeded(f"orbit of 0 longer than {self.max_steps} steps")
-            i, p, q = step
-            if (p, q) in self.separation_pairs:
-                raise NotVerifiedIDOC(
-                    f"orbit of 0 hits a separation point at exponent {len(self.points)}"
-                )
-            self.points.append((i, _point(p, q, D, d)))
+            if step[1:] in self.separation_pairs:
+                raise NotVerifiedIDOC(f"orbit of 0 hits a separation point at exponent {len(self.points)}")
+            self.points.append(step)
         return self.points[k]
 
+    def value(self, k: int) -> QuadReal:
+        """T^k(0) as one ``QuadReal`` per exponent, shared by every floor and marker on it."""
+        if k not in self.values:
+            self.values[k] = _point(*self.point(k)[1:], self.lattice[1], self.lattice[0])
+        return self.values[k]
+
+    def less(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        """x < y for pairs (p, q) or points (i, p, q) on the lattice."""
+        return _positive(y[-2] - x[-2], y[-1] - x[-1], self.lattice[0])
+
     def deepen(self, K: int) -> tuple[MarkerTable, MarkerTable]:
-        """Test distinct orbits below depth K + 1, then give the marker tables at depth K."""
+        """Test distinct orbits below depth K + 1, then give the marker tables and set ``spans`` at depth K."""
         if self.distinct_depth <= K:
             steps = K + 1 - self.distinct_depth
             for orbit in self.separation_orbits:
@@ -257,15 +265,16 @@ class _OrbitCache:
                     raise NotVerifiedIDOC(
                         f"distinct-orbit check failed below depth {K + 1}: orbit collision")
             self.distinct_depth = K + 1
-        T, extremes = self.T, self.extremes
+        T, extremes, points, less = self.T, self.extremes, self.points, self.less
         for k in range(self.marker_depth + 1, K + 1):
-            (i, x), (_, y) = self.point(k), self.point(k + 1)
-            for key, kx in (((False, i), (k, x)), ((True, T.sigma(i)), (k + 1, y))):
-                pair = extremes.setdefault(key, [kx, kx])
-                if pair[0][1] < kx[1]:
-                    pair[0] = kx
-                elif kx[1] < pair[1][1]:
-                    pair[1] = kx
+            i = self.point(k)[0]
+            for key, m in (((False, i), k), ((True, T.sigma(i)), k + 1)):
+                x = self.point(m)
+                pair = extremes.setdefault(key, [m, m])
+                if less(points[pair[0]], x):
+                    pair[0] = m
+                elif less(x, points[pair[1]]):
+                    pair[1] = m
         self.marker_depth = K
         tables: list[MarkerTable] = []
         for primed in (False, True):
@@ -273,16 +282,18 @@ class _OrbitCache:
                 if (primed, i) not in extremes:
                     raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
             # delta 0: the largest point of interval i; delta 1: the smallest of interval i + 1
-            tables.append({(delta, i): Marker(delta, i, *extremes[(primed, i + delta)][delta], primed)
-                           for i in range(T.n + 1) for delta in (0, 1) if 0 < i + delta <= T.n})
+            tables.append({(delta, i): Marker(delta, i, k, self.value(k), primed)
+                           for i in range(T.n + 1) for delta in (0, 1) if 0 < i + delta <= T.n
+                           for k in (extremes[(primed, i + delta)][delta],)})
         plain, prime = tables
+        # the orbit points bounding the marked span of beta(j), j = 1..n-1
+        self.spans = [(points[plain[(0, j)].exponent], points[plain[(1, j)].exponent]) for j in range(1, T.n)]
         if {T.apply(m.value) for m in plain.values()} != {m.value for m in prime.values()}:
             raise ConsistencyViolation("primed markers are not the T-images of the markers")
         return plain, prime
 
 
-def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int],
-                spans: list[tuple[QuadReal, QuadReal]]) -> tuple[list[Floor], list[int]]:
+def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int]) -> tuple[list[Floor], list[int]]:
     """Read the floors of a bottom (left, right exponents) off the orbit table until one lands.
 
     Floor s is [T^(l+s)(0), T^(r+s)(0)), with the total length for a right exponent
@@ -292,35 +303,38 @@ def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int],
     the right edge, T(total-) = T(0) as sigma(n) = sigma(1) - 1.
     """
     left_exponent, right_exponent = bottom
+    ends, less = cache.lattice[2], cache.less  # beta(0..n) first, the total at n
     floors: list[Floor] = []
     word: list[int] = []
     for step in range(cache.max_steps):
-        i, left = cache.point(left_exponent + step)
-        right = cache.point(right_exponent + step)[1] if right_exponent + step else T.total
-        landed = any(lo <= left and right <= hi for lo, hi in spans[max(i - 2, 0):i])
-        inside = right <= T.beta[i]
-        floors.append(Floor(left, right, left_exponent + step, right_exponent + step,
+        l, r = left_exponent + step, right_exponent + step
+        left = cache.point(l)
+        i = left[0]
+        right = cache.point(r) if r else ends[T.n]
+        landed = any(not less(left, lo) and not less(hi, right) for lo, hi in cache.spans[max(i - 2, 0):i])
+        inside = not less(ends[i], right)
+        floors.append(Floor(cache.value(l), cache.value(r) if r else T.total, l, r,
                             i if inside or not landed else None))
         if landed:
             return floors, word
         if not inside and step + 1 < cache.max_steps:
-            raise ConsistencyViolation(f"block [{left}, {right}) crosses beta({i})")
+            raise ConsistencyViolation(f"block [{floors[-1].left}, {floors[-1].right}) crosses beta({i})")
         word.append(i)
     raise DepthExceeded(f"strip did not close within {cache.max_steps} floors")
 
 
 def _level_strips(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTable) -> list[Strip]:
     n = T.n
-    spans = [(plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
     j0 = T.sigma(1) - 1
     bottoms = [(0, plain[(1, 0)].exponent), (plain[(0, n)].exponent, 0)]
     bottoms += [(prime[(0, j)].exponent, prime[(1, j)].exponent) for j in range(1, n) if j != j0]
     if len(bottoms) != n:
         raise ConsistencyViolation(f"expected {n} strip bottoms, found {len(bottoms)}")
-    bottoms.sort(key=lambda bottom: cache.point(bottom[0])[1])
+    lefts = [cache.point(left) for left, _ in bottoms]
+    bottoms.sort(key=lambda bottom: sum(cache.less(x, cache.point(bottom[0])) for x in lefts))
     strips = []
     for index, bottom in enumerate(bottoms, start=1):
-        floors, word = _flow_strip(T, cache, bottom, spans)
+        floors, word = _flow_strip(T, cache, bottom)
         strips.append(Strip(index=index, floors=tuple(floors), visit_word=tuple(word)))
     if not tiles(((f.left, f.right) for s in strips for f in s.floors), quad(0), T.total):
         raise ConsistencyViolation("strip floors do not tile the interval")
@@ -346,17 +360,17 @@ def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTab
     A landing in the span of beta(j) lies in interval i = j or j + 1, never on
     beta(j); the depth is bumped when I(i) maps to the end interval on its side.
     """
-    n = T.n
+    n, less, spans = T.n, cache.less, cache.spans
     start = max(prime[(d, i)].exponent for d in (0, 1) for i in range(1, n))
-    left_col = plain[(1, 0)].value
-    right_col = plain[(0, n)].value
+    left_col, right_col = cache.point(plain[(1, 0)].exponent), cache.point(plain[(0, n)].exponent)
     for m in range(start + 1, cache.max_steps):
-        i, z = cache.point(m)
+        z = cache.point(m)
+        i = z[0]
         for j in range(max(i - 1, 1), min(i + 1, n)):
-            if plain[(0, j)].value < z < plain[(1, j)].value:
+            if less(spans[j - 1][0], z) and less(z, spans[j - 1][1]):
                 return m, m + 1 if T.sigma(i) == (n if i == j else 1) else m
         # z lies in (0, total): a return to 0 would follow T^-1(0), which the cache rejects
-        if z < left_col or right_col < z:
+        if less(z, left_col) or less(right_col, z):
             return m, m
     raise DepthExceeded(f"no landing below {cache.max_steps} orbit steps")
 

@@ -5,8 +5,9 @@ simulation of the same maps, a naive iterate-until-return loop that knows
 nothing about induction bookkeeping, a Rauzy-Veech step that induces by
 arithmetic on (sigma, alpha) without walking an orbit, the induction step
 checks summed as ``QuadReal`` products, single steps and a walk that
-locate ``QuadReal`` points by bisection and add their moves, and the
-distinct-orbit search keyed by ``QuadReal`` points.
+locate ``QuadReal`` points by bisection and add their moves, the
+distinct-orbit search keyed by ``QuadReal`` points, and the strip levels
+with every order test a ``QuadReal`` comparison.
 """
 
 from bisect import bisect_right
@@ -16,11 +17,12 @@ from typing import Iterator, Optional
 
 import mpmath
 
-from ietlab import (ConsistencyViolation, Iet, IdocResult, InductionStep, OrbitPoint, OutOfDomain,
-                    Permutation, QuadReal, column_sums, det, idoc_check, iet_new, irreducible, orbit_point,
-                    quad, quad_sign, radical)
-from ietlab.iet import tiles
+from ietlab import (ConsistencyViolation, DepthExceeded, Iet, IdocResult, InductionStep, NotVerifiedIDOC,
+                    OrbitPoint, OutOfDomain, Permutation, QuadReal, column_sums, det, idoc_check, iet_new,
+                    irreducible, orbit_point, quad, quad_sign, radical)
+from ietlab.iet import _encode, _point, _steps, tiles
 from ietlab.intmat import IntMatrix, freeze
+from ietlab.suspension import Floor, Marker, MarkerTable, Strip, StripLevel, _first_depth, _incidence
 
 mpmath.mp.dps = 60
 
@@ -134,21 +136,27 @@ def random_irreducible(rng, n: int) -> Permutation:
             return sigma
 
 
-def random_quad_iet(rng, n: int, idoc_depth: int = 200) -> Iet:
-    """Random irreducible IET over Q(sqrt(2)) with IDOC checked to idoc_depth."""
+def random_quad_iet(rng, n: int, idoc_depth: int = 200, d: int = 2, closed: bool = False) -> Iet:
+    """Random irreducible IET over Q(sqrt(d)) with IDOC checked to idoc_depth (not at all for 0).
+
+    d = 0 gives rational lengths.  With ``closed``, sigma(n) = sigma(1) - 1, so the suspension
+    has a closed transversal through 0.
+    """
     while True:
         sigma = random_irreducible(rng, n)
+        while closed and sigma(n) != sigma(1) - 1:
+            sigma = random_irreducible(rng, n)
         lengths = []
         for _ in range(n):
             while True:
                 a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
                 b = Fraction(rng.randint(-4, 4), rng.randint(1, 12))
-                value = quad(a, b, 2)
+                value = quad(a, b, d)
                 if quad_sign(value) > 0:
                     lengths.append(value)
                     break
         T = iet_new(sigma, lengths)
-        if idoc_check(T, idoc_depth).verified:
+        if not idoc_depth or idoc_check(T, idoc_depth).verified:
             return T
 
 
@@ -265,3 +273,146 @@ def idoc_by_quad_walk(T: Iet, depth: int) -> IdocResult:
                 return IdocResult(False, depth, (seen[x], (i, k)), "orbit collision")
             seen[x] = (i, k)
     return IdocResult(True, depth)
+
+
+class QuadOrbitCache:
+    """``suspension._OrbitCache`` with each orbit point of 0 stored as a ``QuadReal`` as it is
+    walked, and every extreme and marker found by ``QuadReal`` comparison."""
+
+    def __init__(self, T: Iet, max_steps: int) -> None:
+        self.T = T
+        self.max_steps = max_steps
+        self.lattice, (zero, *separation) = _encode(T, [quad(0), *T.beta[1:-1]])
+        self.orbit = islice(_steps(T, self.lattice, zero), max_steps + 1)
+        self.points: list[tuple[int, QuadReal]] = []
+        self.separation_pairs = set(separation)
+        self.separation_orbits = [islice(_steps(T, self.lattice, y), 1, None) for y in separation]
+        self.distinct_depth = self.marker_depth = 0
+        self.extremes: dict[tuple[bool, int], list[tuple[int, QuadReal]]] = {}
+
+    def point(self, k: int) -> tuple[int, QuadReal]:
+        """(i, T^k(0)) with T^k(0) in I(i)."""
+        d, D, *_ = self.lattice
+        while len(self.points) <= k:
+            step = next(self.orbit, None)
+            if step is None:
+                raise DepthExceeded(f"orbit of 0 longer than {self.max_steps} steps")
+            i, p, q = step
+            if (p, q) in self.separation_pairs:
+                raise NotVerifiedIDOC(f"orbit of 0 hits a separation point at exponent {len(self.points)}")
+            self.points.append((i, _point(p, q, D, d)))
+        return self.points[k]
+
+    def deepen(self, K: int) -> tuple[MarkerTable, MarkerTable]:
+        if self.distinct_depth <= K:
+            steps = K + 1 - self.distinct_depth
+            for orbit in self.separation_orbits:
+                if any((p, q) in self.separation_pairs for _, p, q in islice(orbit, steps)):
+                    raise NotVerifiedIDOC(
+                        f"distinct-orbit check failed below depth {K + 1}: orbit collision")
+            self.distinct_depth = K + 1
+        T, extremes = self.T, self.extremes
+        for k in range(self.marker_depth + 1, K + 1):
+            (i, x), (_, y) = self.point(k), self.point(k + 1)
+            for key, kx in (((False, i), (k, x)), ((True, T.sigma(i)), (k + 1, y))):
+                pair = extremes.setdefault(key, [kx, kx])
+                if pair[0][1] < kx[1]:
+                    pair[0] = kx
+                elif kx[1] < pair[1][1]:
+                    pair[1] = kx
+        self.marker_depth = K
+        tables: list[MarkerTable] = []
+        for primed in (False, True):
+            for i in range(1, T.n + 1):
+                if (primed, i) not in extremes:
+                    raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
+            tables.append({(delta, i): Marker(delta, i, *extremes[(primed, i + delta)][delta], primed)
+                           for i in range(T.n + 1) for delta in (0, 1) if 0 < i + delta <= T.n})
+        plain, prime = tables
+        if {T.apply(m.value) for m in plain.values()} != {m.value for m in prime.values()}:
+            raise ConsistencyViolation("primed markers are not the T-images of the markers")
+        return plain, prime
+
+
+def quad_flow_strip(T: Iet, cache: QuadOrbitCache, bottom: tuple[int, int],
+                    spans: list[tuple[QuadReal, QuadReal]]) -> tuple[list[Floor], list[int]]:
+    """``suspension._flow_strip`` with the landed and inside tests on ``QuadReal`` floor ends."""
+    left_exponent, right_exponent = bottom
+    floors: list[Floor] = []
+    word: list[int] = []
+    for step in range(cache.max_steps):
+        i, left = cache.point(left_exponent + step)
+        right = cache.point(right_exponent + step)[1] if right_exponent + step else T.total
+        landed = any(lo <= left and right <= hi for lo, hi in spans[max(i - 2, 0):i])
+        inside = right <= T.beta[i]
+        floors.append(Floor(left, right, left_exponent + step, right_exponent + step,
+                            i if inside or not landed else None))
+        if landed:
+            return floors, word
+        if not inside and step + 1 < cache.max_steps:
+            raise ConsistencyViolation(f"block [{left}, {right}) crosses beta({i})")
+        word.append(i)
+    raise DepthExceeded(f"strip did not close within {cache.max_steps} floors")
+
+
+def quad_level_strips(T: Iet, cache: QuadOrbitCache, plain: MarkerTable, prime: MarkerTable) -> list[Strip]:
+    """``suspension._level_strips`` with the bottoms sorted by their ``QuadReal`` left ends."""
+    n = T.n
+    spans = [(plain[(0, j)].value, plain[(1, j)].value) for j in range(1, n)]
+    j0 = T.sigma(1) - 1
+    bottoms = [(0, plain[(1, 0)].exponent), (plain[(0, n)].exponent, 0)]
+    bottoms += [(prime[(0, j)].exponent, prime[(1, j)].exponent) for j in range(1, n) if j != j0]
+    if len(bottoms) != n:
+        raise ConsistencyViolation(f"expected {n} strip bottoms, found {len(bottoms)}")
+    bottoms.sort(key=lambda bottom: cache.point(bottom[0])[1])
+    strips = []
+    for index, bottom in enumerate(bottoms, start=1):
+        floors, word = quad_flow_strip(T, cache, bottom, spans)
+        strips.append(Strip(index=index, floors=tuple(floors), visit_word=tuple(word)))
+    if not tiles(((f.left, f.right) for s in strips for f in s.floors), quad(0), T.total):
+        raise ConsistencyViolation("strip floors do not tile the interval")
+    return strips
+
+
+def quad_next_depth(T: Iet, cache: QuadOrbitCache, plain: MarkerTable, prime: MarkerTable) -> tuple[int, int]:
+    """``suspension._next_depth`` with the span and column tests on ``QuadReal`` marker values."""
+    n = T.n
+    start = max(prime[(d, i)].exponent for d in (0, 1) for i in range(1, n))
+    left_col = plain[(1, 0)].value
+    right_col = plain[(0, n)].value
+    for m in range(start + 1, cache.max_steps):
+        i, z = cache.point(m)
+        for j in range(max(i - 1, 1), min(i + 1, n)):
+            if plain[(0, j)].value < z < plain[(1, j)].value:
+                return m, m + 1 if T.sigma(i) == (n if i == j else 1) else m
+        if z < left_col or right_col < z:
+            return m, m
+    raise DepthExceeded(f"no landing below {cache.max_steps} orbit steps")
+
+
+def quad_strip_decomposition(T: Iet, levels: int, max_steps: int) -> tuple[StripLevel, ...]:
+    """``strip_decomposition`` on the ``QuadReal`` oracle pieces above, for an irreducible T with a
+    closed transversal and positive ``levels`` and ``max_steps``: the argument checks are not repeated.
+
+    ``_first_depth`` and ``_incidence`` compare no points, so the oracle shares them.
+    """
+    cache = QuadOrbitCache(T, max_steps)
+    out: list[StripLevel] = []
+    markers: MarkerTable = {}
+    primed: MarkerTable = {}
+    for level in range(1, levels + 1):
+        if level == 1:
+            raw, K = _first_depth(T, cache)
+        else:
+            raw, K = quad_next_depth(T, cache, markers, primed)
+            if K <= out[-1].K:
+                raise ConsistencyViolation("strip depth failed to increase")
+        markers, primed = cache.deepen(K)
+        strips = quad_level_strips(T, cache, markers, primed)
+        incidence: IntMatrix | None = None
+        if out:
+            strips, incidence = _incidence(out[-1].strips, strips)
+        out.append(StripLevel(level=level, raw_K=raw, K=K, markers=tuple(markers.values()),
+                              primed_markers=tuple(primed.values()), strips=tuple(strips),
+                              incidence_to_previous=incidence))
+    return tuple(out)

@@ -54,6 +54,17 @@ def test_permutation_validation():
             Permutation(images)
 
 
+def test_permutation_from_a_list_is_its_tuple():
+    listed, tupled = Permutation([2, 1]), Permutation((2, 1))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.images == (2, 1) and type(listed.images) is tuple
+    assert listed.inverse() == tupled
+    lengths = [radical(2) - 1, 2 - radical(2)]
+    assert {iet_new(listed, lengths), iet_new(tupled, lengths)} == {iet_new(tupled, lengths)}
+    with pytest.raises(InvalidPermutation, match=r"^not a permutation of 1..n: \[1, 1\]$"):
+        Permutation([1, 1])
+
+
 def test_irreducible():
     assert irreducible(permutation(2, 1))
     assert irreducible(permutation(3, 1, 4, 2))

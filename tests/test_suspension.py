@@ -8,6 +8,7 @@ from itertools import permutations as all_permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietlab import (
     ClosedTransversalRequired,
@@ -30,8 +31,10 @@ from ietlab import (
     singularity_profile,
     strip_decomposition,
 )
-from ietlab.suspension import _incidence
-from helpers import count_compares, four_example, golden_example, random_irreducible, sqrt2_example
+from ietlab.exactnum import _square_free
+from ietlab.suspension import StripLevel, _incidence
+from helpers import (count_compares, four_example, golden_example, quad_strip_decomposition, random_irreducible,
+                     random_quad_iet, sqrt2_example)
 
 
 def test_sigma0_two_interval():
@@ -231,13 +234,58 @@ def test_incidence_rejects_a_moved_floor(sqrt2_iet, source, target):
 
 
 def test_strip_levels_compare_few_times(monkeypatch):
-    # tiling and incidence match floor ends by equality and the distinct-orbit test matches
-    # lattice pairs, so only the orbit of 0 and the markers compare (9,612 on QuadReal orbits)
+    # every order test of the strip layer compares lattice pairs; tiling and incidence match
+    # floor ends by equality (QuadReal orbits made 11,122, 17,109 and 4,745 comparisons)
     maps = [sqrt2_example(), golden_example(), four_example()]
     calls = count_compares(monkeypatch)
+    counts = []
     for T in maps:
-        strip_decomposition(T, 8)
-    assert calls[0] <= 8_500
+        calls[0] = 0
+        strip_decomposition(T, 12)
+        counts.append(calls[0])
+    assert max(counts) < 100, counts
+
+
+def strip_outcome(build, T, levels, max_steps):
+    try:
+        return build(T, levels, max_steps)
+    except IetlabError as error:
+        return type(error), str(error)
+
+
+def square_free(d):
+    return _square_free(d) == (d, 1)
+
+
+@st.composite
+def closed_transversal_maps(draw):
+    """A seeded random closed-transversal map over Q(sqrt(2)), Q(sqrt(d)) with d up to 7 digits, or Q."""
+    d = draw(st.just(2) | st.integers(3, 9_999_999).filter(square_free) | st.just(0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_quad_iet(rng, draw(st.integers(2, 7)), idoc_depth=0, d=d, closed=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_transversal_maps(), st.integers(1, 6), st.integers(1, 60) | st.sampled_from([400, 2000]))
+def test_strip_levels_match_the_quad_oracle(T, levels, max_steps):
+    # markers, primed markers, floors, visit words and incidence, or the same error class and text
+    got = strip_outcome(strip_decomposition, T, levels, max_steps)
+    expected = strip_outcome(quad_strip_decomposition, T, levels, max_steps)
+    assert got == expected and repr(got) == repr(expected)
+
+
+def test_strip_oracle_sweep_meets_every_outcome():
+    # the differential above must see levels and each of the strip layer's own errors
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(120):
+        d = rng.choice([2, 0, 1_000_003])
+        T = random_quad_iet(rng, rng.randint(2, 7), idoc_depth=0, d=d, closed=True)
+        levels, max_steps = rng.randint(1, 6), rng.choice([rng.randint(1, 60), 400])
+        got = strip_outcome(strip_decomposition, T, levels, max_steps)
+        assert got == strip_outcome(quad_strip_decomposition, T, levels, max_steps)
+        seen.add("levels" if isinstance(got[0], StripLevel) else got[0].__name__)
+    assert seen >= {"levels", "ShapeViolation", "NotVerifiedIDOC", "DepthExceeded"}, seen
 
 
 def test_strips_require_closed_transversal():
