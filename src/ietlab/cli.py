@@ -320,6 +320,7 @@ def _strip_levels(config: ExperimentConfig) -> tuple[Iet, tuple[suspension.Strip
 def _cmd_strips(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     T, levels = _strip_levels(config)
     rows: list[Row] = []
+    cells: dict[int, tuple[str, ...]] = {}  # each orbit point's two cells by exponent, formatted once
     for level in levels:
         print(f"level {level.level}: K={level.K}")
         rows.append(_row("K", level.K, level.level))
@@ -333,8 +334,11 @@ def _cmd_strips(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
         for strip in level.strips:
             rows.append(_row("height", strip.height, level.level, strip.index))
             for position, floor in enumerate(strip.floors, start=1):
-                rows.append(_row("floor_left", floor.left, level.level, strip.index, position))
-                rows.append(_row("floor_right", floor.right, level.level, strip.index, position))
+                for kind, key, value in (
+                        ("floor_left", floor.left_exponent, floor.left),
+                        ("floor_right", floor.right_exponent or suspension._TOTAL, floor.right)):
+                    cells[key] = cells.get(key) or _row(kind, value)[4:]
+                    rows.append((kind, str(level.level), str(strip.index), str(position), *cells[key]))
         if level.incidence_to_previous is not None:
             rows += _matrix_rows("incidence_entry", level.incidence_to_previous, level.level)
     return rows, 0

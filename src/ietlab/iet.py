@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence, Sized
 
 from .errors import (ConsistencyViolation, InvalidPermutation, MixedRadicand, NonPositiveLength,
                      OutOfDomain)
@@ -31,9 +31,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        integers = all(type(i) is int for i in self.images)  # not bool, float or str
-        if n < 2 or not integers or sorted(self.images) != list(range(1, n + 1)):
+        images = self.images if isinstance(self.images, Sized) else ()  # not a generator, None or an int
+        integers = all(type(i) is int for i in images)  # not bool, float or str
+        if len(images) < 2 or not integers or sorted(images) != list(range(1, len(images) + 1)):
             raise InvalidPermutation(f"not a permutation of 1..n: {_clipped(str(self.images))}")
         object.__setattr__(self, "images", tuple(self.images))  # a list compares and hashes as its tuple
 
@@ -240,8 +240,8 @@ def iet_new(sigma: Permutation, alpha: Iterable[QuadReal]) -> Iet:
     return Iet(sigma, lengths, tuple(beta), tuple(beta_prime), tau)
 
 
-def tiles(pieces: Iterable[tuple[QuadReal, QuadReal]], start: QuadReal, end: QuadReal) -> bool:
-    """True iff the nonempty half-open pieces [left, right) cover [start, end) exactly once."""
+def tiles(pieces: Iterable[tuple[Hashable, Hashable]], start: Hashable, end: Hashable) -> bool:
+    """True iff the nonempty pieces [left, right), with any hashable ends, cover [start, end) exactly once."""
     pieces = list(pieces)
     follow = dict(pieces)  # walk from start, each left end to its right end, each piece once
     edge, used = start, 0

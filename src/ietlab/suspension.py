@@ -12,15 +12,16 @@ consecutive levels are connected by an incidence matrix that is the identity plu
 off-diagonal unit: exactly one strip splits, and one of the two pieces joins an existing
 strip.  Markers and floors read their orbit points of 0 from one table, the layer's only
 walks, which each level deepens past the last depth.  The table holds each point as the
-integer pair that the walk yields, and every order test of the layer compares those pairs;
-a point becomes a ``QuadReal`` once, where a marker, a floor or an error text shows it.
+integer pair that the walk yields, and every order test compares those pairs.  Tiling and
+incidence match floors by exponent, as the orbit of 0 is injective below its first return.
+A point becomes a ``QuadReal`` once, where a marker, a floor or an error text shows it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, product
 
 from .errors import (
     ClosedTransversalRequired,
@@ -209,6 +210,7 @@ class StripLevel:
 
 # Markers keyed (delta, i), inserted in (i, delta) order.
 MarkerTable = dict[tuple[int, int], Marker]
+_TOTAL = -1  # the key of the right edge, which a right exponent of 0 stands for
 
 
 class _OrbitCache:
@@ -276,24 +278,24 @@ class _OrbitCache:
                 elif less(x, points[pair[1]]):
                     pair[1] = m
         self.marker_depth = K
-        tables: list[MarkerTable] = []
-        for primed in (False, True):
-            for i in range(1, T.n + 1):
-                if (primed, i) not in extremes:
-                    raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
-            # delta 0: the largest point of interval i; delta 1: the smallest of interval i + 1
-            tables.append({(delta, i): Marker(delta, i, k, self.value(k), primed)
-                           for i in range(T.n + 1) for delta in (0, 1) if 0 < i + delta <= T.n
-                           for k in (extremes[(primed, i + delta)][delta],)})
-        plain, prime = tables
+        for primed, i in product((False, True), range(1, T.n + 1)):
+            if (primed, i) not in extremes:
+                raise ConsistencyViolation(f"no orbit point in interval {i} at depth {K}")
+        # delta 0: the largest point of interval i; delta 1: the smallest of interval i + 1
+        plain, prime = ({(delta, i): Marker(delta, i, k, self.value(k), primed)
+                         for i in range(T.n + 1) for delta in (0, 1) if 0 < i + delta <= T.n
+                         for k in (extremes[(primed, i + delta)][delta],)} for primed in (False, True))
         # the orbit points bounding the marked span of beta(j), j = 1..n-1
         self.spans = [(points[plain[(0, j)].exponent], points[plain[(1, j)].exponent]) for j in range(1, T.n)]
-        if {T.apply(m.value) for m in plain.values()} != {m.value for m in prime.values()}:
+        images = {next(islice(_steps(T, self.lattice, points[m.exponent][1:]), 1, None))[1:]
+                  for m in plain.values()}
+        if images != {points[m.exponent][1:] for m in prime.values()}:
             raise ConsistencyViolation("primed markers are not the T-images of the markers")
         return plain, prime
 
 
-def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int]) -> tuple[list[Floor], list[int]]:
+def _flow_strip(T: Iet, cache: _OrbitCache,
+                bottom: tuple[int, int]) -> tuple[tuple[Floor, ...], tuple[int, ...]]:
     """Read the floors of a bottom (left, right exponents) off the orbit table until one lands.
 
     Floor s is [T^(l+s)(0), T^(r+s)(0)), with the total length for a right exponent
@@ -316,7 +318,7 @@ def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int]) -> tuple[li
         floors.append(Floor(cache.value(l), cache.value(r) if r else T.total, l, r,
                             i if inside or not landed else None))
         if landed:
-            return floors, word
+            return tuple(floors), tuple(word)
         if not inside and step + 1 < cache.max_steps:
             raise ConsistencyViolation(f"block [{floors[-1].left}, {floors[-1].right}) crosses beta({i})")
         word.append(i)
@@ -332,11 +334,8 @@ def _level_strips(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerT
         raise ConsistencyViolation(f"expected {n} strip bottoms, found {len(bottoms)}")
     lefts = [cache.point(left) for left, _ in bottoms]
     bottoms.sort(key=lambda bottom: sum(cache.less(x, cache.point(bottom[0])) for x in lefts))
-    strips = []
-    for index, bottom in enumerate(bottoms, start=1):
-        floors, word = _flow_strip(T, cache, bottom)
-        strips.append(Strip(index=index, floors=tuple(floors), visit_word=tuple(word)))
-    if not tiles(((f.left, f.right) for s in strips for f in s.floors), quad(0), T.total):
+    strips = [Strip(index, *_flow_strip(T, cache, bottom)) for index, bottom in enumerate(bottoms, start=1)]
+    if not tiles(((f.left_exponent, f.right_exponent or _TOTAL) for s in strips for f in s.floors), 0, _TOTAL):
         raise ConsistencyViolation("strip floors do not tile the interval")
     return strips
 
@@ -378,15 +377,15 @@ def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTab
 def _incidence(previous: tuple[Strip, ...], current: list[Strip]) -> tuple[list[Strip], IntMatrix]:
     """Count current floors per previous floor, check the shape, and relabel by inheritance."""
     n = len(previous)
-    # _level_strips checked that the current floors tile [0, total): a left end names one floor
-    follow = {f.left: (f.right, s.index) for s in current for f in s.floors}
+    # _level_strips checked that the current floors tile [0, total): a left exponent names one floor
+    follow = {f.left_exponent: (f.right_exponent or _TOTAL, s.index) for s in current for f in s.floors}
     # met[row][col]: floor counts of current strip row + 1 in the floors of previous strip col + 1
     met: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
     for old in previous:
         for parent in old.floors:
             inside: Counter[int] = Counter()
-            edge = parent.left
-            while edge != parent.right:
+            edge, end = parent.left_exponent, parent.right_exponent or _TOTAL
+            while edge != end:
                 if edge not in follow:
                     raise ConsistencyViolation("new floor is not inside a single old floor")
                 edge, index = follow[edge]
@@ -450,17 +449,12 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
     markers: MarkerTable = {}
     primed: MarkerTable = {}
     for level in range(1, levels + 1):
-        if level == 1:
-            raw, K = _first_depth(T, cache)
-        else:
-            raw, K = _next_depth(T, cache, markers, primed)
-            if K <= out[-1].K:
-                raise ConsistencyViolation("strip depth failed to increase")
+        raw, K = _next_depth(T, cache, markers, primed) if out else _first_depth(T, cache)
+        if out and K <= out[-1].K:
+            raise ConsistencyViolation("strip depth failed to increase")
         markers, primed = cache.deepen(K)
         strips = _level_strips(T, cache, markers, primed)
-        incidence: IntMatrix | None = None
-        if out:
-            strips, incidence = _incidence(out[-1].strips, strips)
+        strips, incidence = _incidence(out[-1].strips, strips) if out else (strips, None)
         out.append(StripLevel(level=level, raw_K=raw, K=K, markers=tuple(markers.values()),
                               primed_markers=tuple(primed.values()), strips=tuple(strips),
                               incidence_to_previous=incidence))

@@ -114,17 +114,21 @@ def rank(matrix) -> int:
     return found
 
 
-def count_compares(monkeypatch) -> list[int]:
-    """Count QuadReal._compare calls from now on; the returned list holds the count."""
+def count_calls(monkeypatch, method: str) -> list[int]:
+    """Count calls of the QuadReal method ``method`` from now on; the returned list holds the count."""
     calls = [0]
-    compare = QuadReal._compare
+    original = getattr(QuadReal, method)
 
-    def counted(self, other):
+    def counted(*args):
         calls[0] += 1
-        return compare(self, other)
+        return original(*args)
 
-    monkeypatch.setattr(QuadReal, "_compare", counted)
+    monkeypatch.setattr(QuadReal, method, counted)
     return calls
+
+
+def count_compares(monkeypatch) -> list[int]:
+    return count_calls(monkeypatch, "_compare")
 
 
 def random_irreducible(rng, n: int) -> Permutation:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietlab import ParseError, parse_quad, quad, radical
+from ietlab import ParseError, format_quad, parse_quad, quad, radical, strip_decomposition
+from ietlab import cli
 from ietlab.cli import (_PARSERS, COMMANDS, CSV_HEADER, MAX_RADICAND, ExperimentConfig, main,
                         parse_config)
 
@@ -165,6 +166,20 @@ def test_cli_strips_reports_levels(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "level 1: K=5" in output
     assert "level 2: K=7" in output
+
+
+def test_cli_strips_formats_each_orbit_point_once(tmp_path, monkeypatch):
+    # floor_left and floor_right rows reuse each point's cells: at most one format per exponent
+    # and one for the total
+    formatted = []
+    monkeypatch.setattr(cli, "format_quad", lambda x: formatted.append(x) or format_quad(x))
+    cfg = write_cfg(tmp_path, SQRT2_CFG.replace("levels = 2", "levels = 8"))
+    assert run("strips", cfg, tmp_path / "out") == 0
+    T = cli._make_iet(parse_config(SQRT2_CFG))
+    floors = [f for level in strip_decomposition(T, 8) for s in level.strips for f in s.floors]
+    exponents = {f.left_exponent for f in floors} | {f.right_exponent for f in floors if f.right_exponent}
+    assert len(formatted) == len(set(formatted)) <= len(exponents) + 1
+    assert len(floors) > 2 * len(exponents)
 
 
 def test_cli_render_writes_one_svg_per_level(tmp_path):

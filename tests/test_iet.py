@@ -54,6 +54,17 @@ def test_permutation_validation():
             Permutation(images)
 
 
+@pytest.mark.parametrize("images, shown", [
+    (lambda: (i for i in (2, 1)), "<generator object "),
+    (lambda: None, "None$"),
+    (lambda: 21, "21$"),
+], ids=["generator", "None", "int"])
+def test_permutation_without_a_length_is_invalid(images, shown):
+    # images with no len() are no permutation either, not a bare TypeError
+    with pytest.raises(InvalidPermutation, match=f"^not a permutation of 1..n: {shown}"):
+        Permutation(images())
+
+
 def test_permutation_from_a_list_is_its_tuple():
     listed, tupled = Permutation([2, 1]), Permutation((2, 1))
     assert listed == tupled and hash(listed) == hash(tupled)

@@ -32,9 +32,9 @@ from ietlab import (
     strip_decomposition,
 )
 from ietlab.exactnum import _square_free
-from ietlab.suspension import StripLevel, _incidence
-from helpers import (count_compares, four_example, golden_example, quad_strip_decomposition, random_irreducible,
-                     random_quad_iet, sqrt2_example)
+from ietlab.suspension import StripLevel, _first_depth, _incidence, _OrbitCache
+from helpers import (count_calls, count_compares, four_example, golden_example, quad_strip_decomposition,
+                     random_irreducible, random_quad_iet, sqrt2_example)
 
 
 def test_sigma0_two_interval():
@@ -244,6 +244,33 @@ def test_strip_levels_compare_few_times(monkeypatch):
         strip_decomposition(T, 12)
         counts.append(calls[0])
     assert max(counts) < 100, counts
+
+
+def test_strip_levels_hash_no_quad(monkeypatch):
+    # tiling and incidence key floor ends by exponent and the primed-marker check steps lattice
+    # pairs (QuadReal floor ends made 16,005, 25,092 and 7,014 hashes)
+    maps = [sqrt2_example(), golden_example(), four_example()]
+    calls = count_calls(monkeypatch, "__hash__")
+    counts = []
+    for T in maps:
+        calls[0] = 0
+        strip_decomposition(T, 12)
+        counts.append(calls[0])
+    assert counts == [0, 0, 0]
+
+
+@pytest.mark.parametrize("example", [sqrt2_example, golden_example, four_example],
+                         ids=["sqrt2", "golden", "four"])
+@pytest.mark.parametrize("slot", [0, 1], ids=["highest", "lowest"])
+def test_deepen_rejects_primed_markers_that_are_not_images(example, slot):
+    # move one primed extreme to exponent 0: T^k(0) = 0 for no k >= 1, so 0 is no marker's image
+    T = example()
+    cache = _OrbitCache(T, 1000)
+    _, K = _first_depth(T, cache)
+    cache.deepen(K)
+    cache.extremes[(True, 1)][slot] = 0
+    with pytest.raises(ConsistencyViolation, match="^primed markers are not the T-images of the markers$"):
+        cache.deepen(K)
 
 
 def strip_outcome(build, T, levels, max_steps):
