@@ -1,4 +1,5 @@
-"""Exact arithmetic in real quadratic fields Q(sqrt(d))."""
+"""Exact arithmetic in real quadratic fields Q(sqrt(d)), the one module that reads or builds a
+``QuadReal``'s coefficients; every exact order test takes its sign from ``_positive``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import MixedRadicand, ParseError
 
@@ -30,23 +31,14 @@ def _square_free(n: int) -> tuple[int, int]:
     return m, s
 
 
-def _fsign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _positive(p: int, q: int, d: int) -> bool:
+    """True iff p + q*sqrt(d) > 0, where q == 0 or d > 1 is square-free.
 
-
-def _sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), decided purely in rational arithmetic."""
-    if b == 0:
-        return _fsign(a)
-    if a == 0:
-        return _fsign(b)
-    sa, sb = _fsign(a), _fsign(b)
-    if sa == sb:
-        return sa
-    lhs, rhs = a * a, b * b * d
-    if lhs == rhs:
-        return 0
-    return sa if lhs > rhs else sb
+    p*p == q*q*d has no solution with q != 0, so the two terms never cancel.
+    """
+    if q >= 0:
+        return p > 0 or (q > 0 and (p >= 0 or q * q * d > p * p))
+    return p > 0 and p * p > q * q * d
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +55,9 @@ class QuadReal:
     d: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.a, (int, Fraction)) and isinstance(self.b, (int, Fraction))
+                and isinstance(self.d, int)):
+            raise TypeError("QuadReal takes int or Fraction coefficients and an int radicand")
         if self.d < 0:
             raise ValueError("radicand must be nonnegative")
         if self.b == 0 and self.d != 0:
@@ -155,9 +150,12 @@ class QuadReal:
         return hash((self.a, self.b, self.d))
 
     def _compare(self, other: "QuadReal | RationalLike") -> int:
-        """Sign of self - other, from the differences of the coefficients."""
+        """Sign of self - other: the coefficient differences times both (positive) denominators."""
         o = _as_quad(other)
-        return _sign(self.a - o.a, self.b - o.b, self._common_d(o))
+        d = self._common_d(o)
+        a, b = self.a - o.a, self.b - o.b
+        p, q = a.numerator * b.denominator, b.numerator * a.denominator
+        return _positive(p, q, d) - _positive(-p, -q, d)
 
     def __lt__(self, other: "QuadReal | RationalLike") -> bool:
         return self._compare(other) < 0
@@ -190,8 +188,8 @@ def _trusted(a: Fraction, b: Fraction, d: int) -> QuadReal:
     """Wrap coefficients that are in normal form once b == 0 forces d to 0.
 
     Sums, differences, products and quotients of normal operands of one
-    radicand meet that condition, so their results skip ``Fraction(...)``,
-    the factoring and ``__post_init__``.
+    radicand meet that condition, and so do ``quad``'s reduced coefficients,
+    so their results skip ``Fraction(...)``, the factoring and ``__post_init__``.
     """
     x = _new(QuadReal)
     _set_a(x, a)
@@ -208,6 +206,24 @@ def _as_quad(value: "QuadReal | RationalLike") -> QuadReal:
     raise TypeError(f"cannot interpret {value!r} as a quadratic number")
 
 
+_Lattice = tuple[int, int, list[tuple[int, int]]]  # (d, D, pairs), each pair (p, q) = (p + q*sqrt(d))/D
+
+
+def _lattice(values: Sequence[QuadReal], d: int = 0, D: int = 1) -> _Lattice:
+    """(d, D, pairs): each value as (p, q) meaning (p + q*sqrt(d))/D; d and D extend the given ones."""
+    radicands = list(dict.fromkeys(r for r in (d, *(v.d for v in values)) if r))
+    if len(radicands) > 1:
+        raise MixedRadicand(f"sqrt({radicands[1]}) and sqrt({radicands[0]}) cannot mix")
+    D = lcm(*{D, *(c.denominator for v in values for c in (v.a, v.b))})  # set: 3.11 never reuses 20-tuples
+    return (radicands[0] if radicands else 0, D,
+            [(v.a.numerator * D // v.a.denominator, v.b.numerator * D // v.b.denominator) for v in values])
+
+
+def _point(p: int, q: int, D: int, d: int) -> QuadReal:
+    """The number (p + q*sqrt(d))/D."""
+    return _trusted(Fraction(p, D), Fraction(q, D), d)
+
+
 def quad(a: RationalLike | Fraction = 0, b: RationalLike | Fraction = 0,
          d: int = 0) -> QuadReal:
     """Build a + b*sqrt(d) in normal form from int or Fraction a, b and an int d."""
@@ -217,12 +233,11 @@ def quad(a: RationalLike | Fraction = 0, b: RationalLike | Fraction = 0,
     if d < 0:
         raise ValueError("radicand must be nonnegative")
     if b == 0 or d == 0:
-        return QuadReal(a, Fraction(0), 0)
+        return _trusted(a, _ZERO, 0)
     m, s = _square_free(d)
-    b *= s
     if m == 1:
-        return QuadReal(a + b, Fraction(0), 0)
-    return QuadReal(a, b, m)
+        return _trusted(a + b * s, _ZERO, 0)
+    return _trusted(a, b * s, m)
 
 
 def radical(d: int) -> QuadReal:
@@ -230,9 +245,11 @@ def radical(d: int) -> QuadReal:
     return quad(0, 1, d)
 
 
-def quad_sign(x: QuadReal) -> int:
-    """Exact sign of x, decided purely in rational arithmetic."""
-    return _sign(x.a, x.b, x.d)
+def quad_sign(x: "QuadReal | RationalLike") -> int:
+    """Exact sign of a QuadReal, int or Fraction, decided in integer arithmetic."""
+    x = _as_quad(x)
+    p, q = x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator
+    return _positive(p, q, x.d) - _positive(-p, -q, x.d)
 
 
 def _floor_times(x: QuadReal, m: int) -> int:
@@ -247,15 +264,15 @@ def _floor_times(x: QuadReal, m: int) -> int:
     return (p + (r if q > 0 else -r - 1)) // den
 
 
-def quad_floor(x: QuadReal) -> int:
-    """Largest integer n with n <= x, in integer arithmetic only.
+def quad_floor(x: "QuadReal | RationalLike") -> int:
+    """Largest integer n with n <= x, for a QuadReal, int or Fraction, in integer arithmetic only.
 
     Write x = (p + q*sqrt(d))/D over a common denominator D.  For q != 0,
     q*sqrt(d) is irrational because d > 1 is square-free, so its floor is
     isqrt(q*q*d) for q > 0 and -isqrt(q*q*d) - 1 for q < 0, and the floor
     of x is (p + that floor) // D with no correction step.
     """
-    return _floor_times(x, 1)
+    return _floor_times(_as_quad(x), 1)
 
 
 def quad_approx(x: "QuadReal | RationalLike", digits: int) -> str:

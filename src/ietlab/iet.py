@@ -10,17 +10,13 @@ tests, and ``_points`` reads ``QuadReal`` points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import lcm
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Sized
 
-from .errors import (ConsistencyViolation, InvalidPermutation, MixedRadicand, NonPositiveLength,
-                     OutOfDomain)
-from .exactnum import QuadReal, _as_quad, _clipped, _trusted, quad
+from .errors import ConsistencyViolation, InvalidPermutation, NonPositiveLength, OutOfDomain
+from .exactnum import QuadReal, _Lattice, _as_quad, _clipped, _lattice, _point, _positive, quad
 
-_Lattice = tuple[int, int, list[tuple[int, int]]]  # (d, D, pairs), each pair (p, q) = (p + q*sqrt(d))/D
 _Encoded = tuple[int, int, list[tuple[int, int]], str]  # a map's _Lattice and the name of its ends
 
 
@@ -114,31 +110,6 @@ class Iet:
     def _backward_lattice(self) -> _Lattice:
         """The ends beta' and moves -tau(sigma^-1(k)) on the integer lattice of ``_lattice``."""
         return _lattice([*self.beta_prime, *(-self.tau[i - 1] for i in self.sigma.inverse().images)])
-
-
-def _positive(p: int, q: int, d: int) -> bool:
-    """True iff p + q*sqrt(d) > 0, where q == 0 or d > 1 is square-free.
-
-    p*p == q*q*d has no solution with q != 0, so the two terms never cancel.
-    """
-    if q >= 0:
-        return p > 0 or (q > 0 and (p >= 0 or q * q * d > p * p))
-    return p > 0 and p * p > q * q * d
-
-
-def _point(p: int, q: int, D: int, d: int) -> QuadReal:
-    """The number (p + q*sqrt(d))/D."""
-    return _trusted(Fraction(p, D), Fraction(q, D), d)
-
-
-def _lattice(values: Sequence[QuadReal], d: int = 0, D: int = 1) -> _Lattice:
-    """(d, D, pairs): each value as (p, q) meaning (p + q*sqrt(d))/D; d and D extend the given ones."""
-    radicands = list(dict.fromkeys(r for r in (d, *(v.d for v in values)) if r))
-    if len(radicands) > 1:
-        raise MixedRadicand(f"sqrt({radicands[1]}) and sqrt({radicands[0]}) cannot mix")
-    D = lcm(*{D, *(c.denominator for v in values for c in (v.a, v.b))})  # set: 3.11 never reuses 20-tuples
-    return (radicands[0] if radicands else 0, D,
-            [(v.a.numerator * D // v.a.denominator, v.b.numerator * D // v.b.denominator) for v in values])
 
 
 def _encode(T: Iet, values: Sequence[QuadReal],

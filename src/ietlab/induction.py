@@ -7,8 +7,8 @@ from typing import Literal, Optional
 
 from .errors import (ConsistencyViolation, DegenerateAt, NotAdmissible,
                      OutOfDomain, ReturnTimeExceeded)
-from .exactnum import QuadReal, quad
-from .iet import Iet, OrbitPoint, Permutation, _lattice, _lattice_walk, _point, iet_new, orbit_point, tiles
+from .exactnum import QuadReal, _lattice, _point, quad
+from .iet import Iet, OrbitPoint, Permutation, _lattice_walk, iet_new, orbit_point, tiles
 from .intmat import IntMatrix, column_sums, det, freeze
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -208,6 +208,8 @@ def shrink_sequence(T: Iet, y0: QuadReal, depth: int,
         raise ValueError("depth must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
+    if side not in (None, "left", "right"):
+        raise ValueError(f"side must be 'left', 'right' or None, not {side!r}")
     if quad(0) > y0 or not y0 < T.total:
         raise OutOfDomain(f"{y0} outside [0, {T.total})")
 

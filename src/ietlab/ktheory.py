@@ -313,6 +313,8 @@ def coinvariant_shift(sigma: Permutation, i: int) -> tuple[int, ...]:
     translation length, with interval classes in place of lengths).
     """
     n = sigma.n
+    if not 1 <= i <= n:
+        raise ValueError(f"i must be an interval index in 1..{n}, not {i!r}")
     return tuple(
         (1 if sigma(j) < sigma(i) else 0) - (1 if j < i else 0) for j in range(1, n + 1)
     )

@@ -31,8 +31,8 @@ from .errors import (
     Reducible,
     ShapeViolation,
 )
-from .exactnum import QuadReal, _clipped, quad
-from .iet import Iet, Permutation, _encode, _point, _positive, _steps, irreducible, tiles
+from .exactnum import QuadReal, _clipped, _point, _positive, quad
+from .iet import Iet, Permutation, _encode, _steps, irreducible, tiles
 from .induction import DEFAULT_MAX_STEPS
 from .intmat import IntMatrix, freeze, identity_plus_unit
 

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite.
 
-Six independent cross-checks back the exact code paths: a 60-digit mpmath
+Seven independent cross-checks back the exact code paths: the sign of
+a + b*sqrt(d) decided in ``Fraction`` arithmetic, a 60-digit mpmath
 simulation of the same maps, a naive iterate-until-return loop that knows
 nothing about induction bookkeeping, a Rauzy-Veech step that induces by
 arithmetic on (sigma, alpha) without walking an orbit, the induction step
@@ -20,11 +21,31 @@ import mpmath
 from ietlab import (ConsistencyViolation, DepthExceeded, Iet, IdocResult, InductionStep, NotVerifiedIDOC,
                     OrbitPoint, OutOfDomain, Permutation, QuadReal, column_sums, det, idoc_check, iet_new,
                     irreducible, orbit_point, quad, quad_sign, radical)
-from ietlab.iet import _encode, _point, _steps, tiles
+from ietlab.exactnum import _point
+from ietlab.iet import _encode, _steps, tiles
 from ietlab.intmat import IntMatrix, freeze
 from ietlab.suspension import Floor, Marker, MarkerTable, Strip, StripLevel, _first_depth, _incidence
 
 mpmath.mp.dps = 60
+
+
+def _fsign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), decided purely in rational arithmetic."""
+    if b == 0:
+        return _fsign(a)
+    if a == 0:
+        return _fsign(b)
+    sa, sb = _fsign(a), _fsign(b)
+    if sa == sb:
+        return sa
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        return 0
+    return sa if lhs > rhs else sb
 
 
 def to_mp(x: QuadReal) -> mpmath.mpf:

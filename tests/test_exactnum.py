@@ -1,6 +1,7 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -18,8 +19,8 @@ from ietlab import (
     quad_sign,
     radical,
 )
-from ietlab.exactnum import _QUAD_RE, _square_free
-from helpers import to_mp
+from ietlab.exactnum import _QUAD_RE, _positive, _square_free
+from helpers import _sign, to_mp
 
 small_fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -321,3 +322,114 @@ def test_each_radicand_is_factored_once():
         assert total > operands[k % 10] or k == 0
     assert total == expected
     assert _square_free.cache_info() == before  # arithmetic never factors
+
+
+# Radicands for the sign rule's differential tests, up to a 12-digit square-free one.
+SIGN_RADICANDS = (2, 5, 12, 1000003, 10 ** 12 - 11)
+HUGE = 10 ** 30
+huge_rationals = st.one_of(st.integers(-HUGE, HUGE),
+                           st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)))
+
+
+def near_cancelling(d):
+    """(p - q*sqrt(d))/scale, with p an integer next to q*sqrt(d): within about 1/q of zero."""
+    def build(q, up, scale):
+        root = isqrt(q * q * d)
+        p = root + 1 if up else root
+        return quad(Fraction(p, scale), Fraction(-q, scale), d)
+    return st.builds(build, st.integers(1, 10 ** 15), st.booleans(), st.integers(1, 10 ** 6))
+
+
+def huge_quads(d):
+    return st.one_of(st.builds(lambda a, b: quad(a, b, d), huge_rationals, huge_rationals),
+                     near_cancelling(d))
+
+
+HUGE_QUADS = {d: huge_quads(d) for d in SIGN_RADICANDS}  # built once: building costs more than drawing
+tiny_shifts = st.builds(lambda k, t: Fraction(k, 10 ** t), st.integers(-1, 1), st.integers(0, 40))
+
+
+@st.composite
+def order_operands(draw):
+    """(x, y): x a QuadReal, y a QuadReal of the same or another field, an int or a Fraction."""
+    d = draw(st.sampled_from(SIGN_RADICANDS))
+    x = draw(HUGE_QUADS[d])
+    kind = draw(st.sampled_from(("same field", "rational", "shifted", "any field")))
+    if kind == "same field":
+        return x, draw(HUGE_QUADS[d])
+    if kind == "rational":
+        return x, draw(huge_rationals)
+    if kind == "shifted":
+        return x, x + draw(tiny_shifts)
+    return x, draw(HUGE_QUADS[draw(st.sampled_from(SIGN_RADICANDS))])
+
+
+def mp_sign(x):
+    with mpmath.workdps(800):  # enough digits for the sign of a difference of these operands
+        value = to_mp(x)
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(order_operands())
+@example((radical(2) * 408, 577))  # 577 - 408*sqrt(2) > 0 by 1/(577 + 408*sqrt(2))
+@example((quad(577, -408, 2), quad(Fraction(1, 1154))))
+def test_order_sign_and_abs_match_the_fraction_oracle_and_mpmath(operands):
+    x, y = operands
+    o = y if isinstance(y, QuadReal) else quad(y)
+    for v in (x, y):
+        expected = _sign(o.a, o.b, o.d) if v is y else _sign(x.a, x.b, x.d)
+        assert quad_sign(v) == expected == mp_sign(o if v is y else x)
+        assert abs(v) == (v if expected >= 0 else -v)
+    if x.d and o.d and x.d != o.d:
+        for compare in (lambda: x < y, lambda: x <= y, lambda: y > x, lambda: y >= x):
+            with pytest.raises(MixedRadicand):
+                compare()
+        assert x != y
+        return
+    sign = _sign(x.a - o.a, x.b - o.b, x.d or o.d)
+    assert sign == mp_sign(x - o)
+    assert [x < y, x <= y, x > y, x >= y, x == y] == [sign < 0, sign <= 0, sign > 0, sign >= 0, sign == 0]
+    assert [y > x, y >= x, y < x, y <= x, y == x] == [sign < 0, sign <= 0, sign > 0, sign >= 0, sign == 0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-HUGE, HUGE), st.integers(-HUGE, HUGE), st.sampled_from(SIGN_RADICANDS))
+@example(577, -408, 2)
+@example(-577, 408, 2)
+@example(665857, -470832, 2)
+@example(-665857, 470832, 2)
+@example(0, 0, 2)
+@example(-1, 0, 10 ** 12 - 11)
+def test_positive_matches_the_fraction_oracle_and_mpmath(p, q, radicand):
+    d = quad(0, 1, radicand).d  # the square-free part, as _positive requires
+    for pair in ((p, q), (isqrt(q * q * d), q), (-isqrt(q * q * d) - 1, q)):  # near cancellation
+        expected = _sign(Fraction(pair[0]), Fraction(pair[1]), d) > 0
+        assert _positive(*pair, d) == expected == (mp_sign(quad(*pair, d)) > 0)
+
+
+@pytest.mark.parametrize("value, sign, floor", [
+    (3, 1, 3), (-3, -1, -3), (0, 0, 0), (Fraction(7, 2), 1, 3), (Fraction(-7, 2), -1, -4),
+])
+def test_sign_and_floor_take_ints_and_fractions(value, sign, floor):
+    assert quad_sign(value) == sign
+    assert quad_floor(value) == floor
+
+
+@pytest.mark.parametrize("value", [0.5, "1", None], ids=["float", "text", "none"])
+@pytest.mark.parametrize("function", [quad_sign, quad_floor])
+def test_sign_and_floor_reject_inexact_values(function, value):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        function(value)
+
+
+@pytest.mark.parametrize("a, b, d", [(0.5, 0, 0), (Fraction(1), 1.0, 2), (1, 0, 0.0)],
+                         ids=["float", "float-coefficient", "float-radicand"])
+def test_quadreal_takes_exact_inputs_only(a, b, d):
+    with pytest.raises(TypeError, match="QuadReal takes int or Fraction coefficients"):
+        QuadReal(a, b, d)
+
+
+def test_quadreal_of_ints_is_a_normal_value():
+    assert QuadReal(1, 0, 0) == quad(1)
+    assert QuadReal(1, 0, 0) < quad(2) and str(QuadReal(1, 0, 0)) == "1/1"

@@ -1,5 +1,6 @@
 """Static checks on the package source: no unused import, no unreferenced private name,
-map stepping kept behind ``iet.py``, and one step kernel and one block test inside it.
+map stepping kept behind ``iet.py``, one step kernel and one block test inside it, and one
+sign rule in ``exactnum.py``, the only module that reads or builds a ``QuadReal``'s coefficients.
 
 All read the modules with ``ast`` only, so they need no linter.
 """
@@ -117,3 +118,30 @@ def test_the_block_crossing_error_is_raised_once_in_the_kernel():
                      for node in ast.walk(f) if isinstance(node, ast.Raise)
                      and "crosses" in ast.unparse(node))
     assert raisers == [("iet.py", "_steps"), ("suspension.py", "_flow_strip")]
+
+
+def definitions(name):
+    return sorted(module for module, tree in MODULES.items() for f in functions(tree) if f.name == name)
+
+
+def test_one_sign_rule_in_exactnum():
+    assert definitions("_positive") == ["exactnum.py"]
+    assert definitions("_fsign") == definitions("_sign") == []
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"exactnum.py"}))
+def test_only_exactnum_reads_or_builds_coefficients(module):
+    # a coefficient's parts, and a QuadReal built from parts, trusted or checked
+    tree = MODULES[module]
+    parts = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(parts & {"numerator", "denominator"}) == []
+    assert not reads(tree, "_trusted")
+    builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and reads(node.func, "QuadReal")]
+    assert builds == []
+
+
+def test_iet_imports_nothing_from_fractions():
+    tree = MODULES["iet.py"]
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules and not reads(tree, "Fraction")

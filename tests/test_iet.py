@@ -25,7 +25,8 @@ from ietlab import (
     quad,
     radical,
 )
-from ietlab.iet import _lattice, _lattice_walk, _points, tiles
+from ietlab.exactnum import _lattice
+from ietlab.iet import _lattice_walk, _points, tiles
 from helpers import (FloatIet, count_compares, four_example, golden_example, idoc_by_quad_walk,
                      inverse_tau, quad_apply, quad_apply_inverse, quad_image_interval_index,
                      quad_interval_index, quad_iterate, quad_walk, random_irreducible, random_quad_iet,

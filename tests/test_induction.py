@@ -191,6 +191,12 @@ def test_shrink_degenerate_without_side(sqrt2_iet):
     assert left[-1].origin != right[-1].origin
 
 
+@pytest.mark.parametrize("side", ["up", "", "LEFT"])
+def test_shrink_rejects_an_unknown_side(sqrt2_iet, side):
+    with pytest.raises(ValueError, match="^side must be 'left', 'right' or None, not "):
+        shrink_sequence(sqrt2_iet, sqrt2_iet.beta[1], 3, side=side)
+
+
 def test_return_time_budget():
     from helpers import sqrt2_example
 

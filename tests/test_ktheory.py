@@ -308,6 +308,12 @@ def test_coinvariant_shift_formula():
     assert coinvariant_shift(permutation(2, 1), 2) == (-1, 0)
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_coinvariant_shift_rejects_an_index_outside_the_intervals(i):
+    with pytest.raises(ValueError, match=r"^i must be an interval index in 1\.\.2, not "):
+        coinvariant_shift(permutation(2, 1), i)
+
+
 def test_translations_are_l_sigma_transpose_times_lengths():
     # tau = L_sigma^T alpha: the class shift of interval i is column i of L_sigma
     rng = random.Random(13)
