@@ -105,7 +105,10 @@ def _alpha(value: str, d: int) -> tuple[QuadReal, ...]:
 
 def _epsilon(value: str, d: int) -> Fraction:
     # with d = 0 a radical term is a ParseError, so the value is rational
-    return parse_quad(value, 0).as_fraction()
+    parsed = parse_quad(value, 0).as_fraction()
+    if parsed < 0:
+        raise ParseError(f"value {_clipped(str(parsed))} below minimum 0")
+    return parsed
 
 
 def _side(value: str, d: int) -> str:

@@ -1,10 +1,10 @@
 """Interval exchange transformations, orbits, and the distinct-orbit test.
 
-Every move of a point or a block under a map, forward or backward, steps through
-one generator, ``_steps``, on the map's cached integer lattice, and so does every
-test of a block against the ends of its interval.  ``Iet``'s single steps and
-interval lookups read its first points; ``_lattice_walk`` adds the window and budget
-tests, and ``_points`` reads ``QuadReal`` points.
+Every move of a point or a block under a map steps through one generator, ``_steps``,
+on the map's cached integer lattice, and so does every test of a block against the ends
+of its interval.  A backward walk is a forward walk of the inverse map ``Iet._inverse``.
+``Iet``'s single steps and interval lookups read its first points; ``_lattice_walk`` adds
+the window and budget tests, and ``_points`` reads ``QuadReal`` points.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence, Sized
 
 from .errors import ConsistencyViolation, InvalidPermutation, NonPositiveLength, OutOfDomain
 from .exactnum import QuadReal, _Lattice, _as_quad, _clipped, _lattice, _point, _positive, quad
-
-_Encoded = tuple[int, int, list[tuple[int, int]], str]  # a map's _Lattice and the name of its ends
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,8 @@ class Iet:
         return next(_points(self, x))[0]
 
     def image_interval_index(self, x: QuadReal) -> int:
-        """The 1-based k with x in I'(k) = [beta'(k-1), beta'(k))."""
-        return next(_points(self, x, backward=True))[0]
+        """The 1-based k with x in I'(k) = [beta'(k-1), beta'(k)), the inverse map's I(k)."""
+        return next(_points(self._inverse, x))[0]
 
     def apply(self, x: QuadReal) -> QuadReal:
         return self.iterate(x, 1)
@@ -97,8 +95,10 @@ class Iet:
         """T^power(x), converting only that point; x itself, unchecked, for power 0."""
         if not power:
             return x
-        lattice, (start,) = _encode(self, [x], power < 0)
-        _, p, q = next(islice(_steps(self, lattice, start), abs(power), None))
+        if power < 0:
+            return self._inverse.iterate(x, -power)
+        lattice, (start,) = _encode(self, [x])
+        _, p, q = next(islice(_steps(self, lattice, start), power, None))
         return _point(p, q, lattice[1], lattice[0])
 
     @cached_property
@@ -107,34 +107,32 @@ class Iet:
         return _lattice([*self.beta, *self.tau])
 
     @cached_property
-    def _backward_lattice(self) -> _Lattice:
-        """The ends beta' and moves -tau(sigma^-1(k)) on the integer lattice of ``_lattice``."""
-        return _lattice([*self.beta_prime, *(-self.tau[i - 1] for i in self.sigma.inverse().images)])
+    def _inverse(self) -> Iet:
+        """T^-1 = T(sigma^-1, alpha o sigma^-1): ends beta', image ends beta, moves -tau o sigma^-1."""
+        inv = self.sigma.inverse()
+        return Iet(inv, tuple(self.alpha[i - 1] for i in inv.images), self.beta_prime, self.beta,
+                   tuple(-self.tau[i - 1] for i in inv.images))
 
 
-def _encode(T: Iet, values: Sequence[QuadReal],
-            backward: bool = False) -> tuple[_Encoded, list[tuple[int, int]]]:
-    """The map's cached lattice (of T^-1 with ``backward``) extended to hold ``values``, and their pairs.
-
-    A new denominator among the values rescales a copy of the map's pairs, never the cached list.
-    The lattice carries the name of its ends, ``beta`` or ``beta'``, for ``_steps``' errors.
-    """
-    d, D, pairs = T._backward_lattice if backward else T._forward_lattice
+def _encode(T: Iet, values: Sequence[QuadReal]) -> tuple[_Lattice, list[tuple[int, int]]]:
+    """The map's cached lattice extended to hold ``values``, and their pairs; a new denominator
+    among the values rescales a copy of the map's pairs, never the cached list."""
+    d, D, pairs = T._forward_lattice
     d, scaled, extra = _lattice([_as_quad(v) for v in values], d, D)
     if scaled != D:
         pairs = [(p * scaled // D, q * scaled // D) for p, q in pairs]
-    return (d, scaled, pairs, "beta'" if backward else "beta"), extra
+    return (d, scaled, pairs), extra
 
 
-def _steps(T: Iet, lattice: _Encoded, start: tuple[int, int],
+def _steps(T: Iet, lattice: _Lattice, start: tuple[int, int],
            width: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, int, int]]:
-    """Yield (i, p, q) for y = x, T(x), ... (T^-1 on a backward lattice), y in I(i), x at ``start``.
+    """Yield (i, p, q) for y = x, T(x), T^2(x), ..., y in I(i), x at ``start``.
 
     i counts the ends at or below y, as bisect_right does; y is stepped only when resumed.
     With a ``width``, resuming to step the block [y, y + width) past the end of I(i) raises
     ConsistencyViolation, so a block is tested only before a step.
     """
-    d, D, pairs, name = lattice
+    d, D, pairs = lattice
     n = T.n
     edges, moves = pairs[:n + 1], pairs[n + 1:]
     if width is not None:  # the block at y crosses end i when y > end - width
@@ -149,18 +147,17 @@ def _steps(T: Iet, lattice: _Encoded, start: tuple[int, int],
         yield i, p, q
         if width is not None and _positive(p - limits[i][0], q - limits[i][1], d):
             left, right = _point(p, q, D, d), _point(p + width[0], q + width[1], D, d)
-            raise ConsistencyViolation(f"block [{left}, {right}) crosses {name}({i})")
+            raise ConsistencyViolation(f"block [{left}, {right}) crosses beta({i})")
         p, q = p + moves[i - 1][0], q + moves[i - 1][1]
 
 
-def _points(T: Iet, x: QuadReal, backward: bool = False,
-            width: Optional[QuadReal] = None) -> Iterator[tuple[int, QuadReal]]:
-    """Yield (i, y) for y = x, T(x), T^2(x), ... (T^-1 and I'(i) with ``backward``), y in I(i).
+def _points(T: Iet, x: QuadReal, width: Optional[QuadReal] = None) -> Iterator[tuple[int, QuadReal]]:
+    """Yield (i, y) for y = x, T(x), T^2(x), ..., y in I(i).
 
     With a ``width``, ``_steps`` tests the block [y, y + width) before each step.
     """
-    lattice, (start, *block) = _encode(T, [x] if width is None else [x, width], backward)
-    d, D, *_ = lattice
+    lattice, (start, *block) = _encode(T, [x] if width is None else [x, width])
+    d, D, _ = lattice
     for i, p, q in _steps(T, lattice, start, *block):
         yield i, _point(p, q, D, d)
 
@@ -168,7 +165,7 @@ def _points(T: Iet, x: QuadReal, backward: bool = False,
 def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = None,
                   window: tuple[QuadReal, ...] = (), backward: bool = False,
                   open_left: bool = False) -> tuple[list[int], Optional[QuadReal]]:
-    """Walk x, T(x), ... (T^-1 with ``backward``) over at most ``stop`` points of ``_steps``.
+    """Walk x, T(x), ... (``T._inverse`` with ``backward``) over at most ``stop`` points of ``_steps``.
 
     x, the window and the width join the map's lattice.  Each point is tested against the
     window [a, b) ((a, b) with ``open_left``) from T(x) on, or from x on backward; a walk
@@ -176,8 +173,9 @@ def _lattice_walk(T: Iet, x: QuadReal, stop: int, width: Optional[QuadReal] = No
     before each step.  Returns the interval indices of the points before the exit, and the
     point that entered the window or None.
     """
-    lattice, (start, *extra) = _encode(T, [x, *window, *([] if width is None else [width])], backward)
-    d, D, *_ = lattice
+    T = T._inverse if backward else T
+    lattice, (start, *extra) = _encode(T, [x, *window, *([] if width is None else [width])])
+    d, D, _ = lattice
     (ap, aq), (bp, bq) = extra[:2] if window else ((0, 0), (0, 0))
     word: list[int] = []  # zip reads range first, so the walk is never resumed after point stop
     for s, (i, p, q) in zip(range(stop), _steps(T, lattice, start, *extra[len(window):])):

@@ -156,11 +156,8 @@ def induce(T: Iet, J: AdmissibleInterval,
     n = T.n
 
     widths = [cuts[j + 1] - cuts[j] for j in range(n)]
-    order = sorted(range(n), key=lambda j: landings[j])
-    rank = [0] * n
-    for pos, j in enumerate(order):
-        rank[j] = pos + 1
-    sigma_prime = Permutation(tuple(rank))
+    order = sorted(range(n), key=lambda j: landings[j])  # the blocks in landing order
+    sigma_prime = Permutation(tuple(j + 1 for j in order)).inverse()
     induced = iet_new(sigma_prime, widths)
 
     matrix = freeze([[words[j].count(i) for j in range(n)]

@@ -23,7 +23,7 @@ from .exactnum import QuadReal, quad
 from .iet import Iet, Permutation, _lattice_walk, _points, tiles
 from .induction import DEFAULT_MAX_STEPS, AdmissibleInterval, InductionStep, induce
 from .intmat import IntMatrix, column_sums, det, freeze, identity_plus_unit
-from .measures import ConeApprox
+from .measures import ConeApprox, _check_epsilon
 from .suspension import StripLevel
 
 PositivityVerdict = Literal["zero", "positive", "nonpositive_witness", "unknown"]
@@ -262,6 +262,7 @@ def dual_cone_test(x: GroupElement, cone: ConeApprox,
     normalized ray j is the exact rational v_j / s_j, with s_j the full
     product's column sum.
     """
+    _check_epsilon(epsilon)
     if x.level < 0 or len(x.vector) != len(cone.product):
         raise ValueError("element does not fit the cone")
     if x.level > len(cone.chain_matrices):

@@ -18,8 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .errors import OutOfDomain
-from .exactnum import QuadReal, _as_quad, quad
+from .exactnum import QuadReal
 from .iet import Iet, _encode, _steps
 from .induction import InductionStep
 from .intmat import IntMatrix, identity, mat_mul
@@ -65,8 +64,11 @@ def _ray(matrix: IntMatrix, j: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(entry, total) for entry in column)
 
 
-def _max_norm(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return max(abs(a - b) for a, b in zip(u, v))
+def _check_epsilon(epsilon: Fraction) -> None:
+    if not isinstance(epsilon, (int, Fraction)):
+        raise TypeError(f"epsilon must be an int or Fraction, not {type(epsilon).__name__}")
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
 
 
 def _cluster(rays: Sequence[tuple[Fraction, ...]], epsilon: Fraction) -> tuple[tuple[int, ...], ...]:
@@ -81,7 +83,7 @@ def _cluster(rays: Sequence[tuple[Fraction, ...]], epsilon: Fraction) -> tuple[t
 
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            if _max_norm(rays[i], rays[j]) < epsilon:
+            if max(abs(a - b) for a, b in zip(rays[i], rays[j])) < epsilon:
                 parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(len(rays)):
@@ -96,6 +98,7 @@ def cone_approx(chain: Sequence[InductionStep], epsilon: Fraction = DEFAULT_CLUS
     chain's matrices; the number of clusters bounds the number of ergodic
     measures from above (it never exceeds the number of intervals).
     """
+    _check_epsilon(epsilon)
     if not chain:
         raise ValueError("cone_approx needs a nonempty chain")
     n = chain[0].parent.n
@@ -125,10 +128,7 @@ def empirical_measure(T: Iet, p: QuadReal | Fraction | int, m: int, n_steps: int
         raise ValueError("window start must be nonnegative")
     if n_steps < 1:
         raise ValueError("window length must be positive")
-    x = _as_quad(p)
-    if x < quad(0) or not x < T.total:
-        raise OutOfDomain(f"point {x} outside [0, {T.total})")
-    lattice, (start,) = _encode(T, [x])
+    lattice, (start,) = _encode(T, [p])
     visits = Counter(i for i, _, _ in islice(_steps(T, lattice, start), m, m + n_steps + 1))
     raw = tuple(Fraction(visits[i], n_steps) for i in range(1, T.n + 1))
     normalized = tuple(Fraction(visits[i], n_steps + 1) for i in range(1, T.n + 1))

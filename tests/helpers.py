@@ -270,18 +270,17 @@ def quad_walk(T: Iet, x: QuadReal, width: Optional[QuadReal] = None,
     With ``backward`` the walk follows T^-1 and i indexes the image
     interval I'(i).  With a ``width`` the block [y, y + width) is walked,
     and asking to step it across a separation point raises
-    ConsistencyViolation.
+    ConsistencyViolation, naming the ends of the walked map as beta.
     """
     if backward:
-        index, ends, name = quad_image_interval_index, T.beta_prime, "beta'"
-        moves = tuple(-t for t in inverse_tau(T))
+        index, ends, moves = quad_image_interval_index, T.beta_prime, tuple(-t for t in inverse_tau(T))
     else:
-        index, ends, name, moves = quad_interval_index, T.beta, "beta", T.tau
+        index, ends, moves = quad_interval_index, T.beta, T.tau
     while True:
         i = index(T, x)
         yield i, x
         if width is not None and not x + width <= ends[i]:
-            raise ConsistencyViolation(f"block [{x}, {x + width}) crosses {name}({i})")
+            raise ConsistencyViolation(f"block [{x}, {x + width}) crosses beta({i})")
         x = x + moves[i - 1]
 
 

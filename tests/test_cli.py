@@ -94,6 +94,22 @@ def test_parse_config_value_positions():
     assert info.value.column == 14
 
 
+def test_cli_epsilon_must_be_nonnegative(tmp_path, capsys):
+    # a negative tolerance is a config error, exit code 4; 0 is allowed
+    cfg = write_cfg(tmp_path, SQRT2_CFG + "epsilon = -1\n")
+    assert run("cone", cfg, tmp_path / "out") == 4
+    assert capsys.readouterr().err == "ietlab: config error: value -1 below minimum 0 (line 6, column 11)\n"
+    assert parse_config("epsilon = 0\n").epsilon == 0
+
+
+@pytest.mark.parametrize("command", ["orbit", "induce", "shrink", "cone", "towers", "measure"])
+def test_cli_start_outside_the_domain_prints_one_text(tmp_path, capsys, command):
+    # every command that walks y0 leaves the domain test to the walk kernel
+    cfg = write_cfg(tmp_path, SQRT2_CFG + "y0 = 1\n")
+    assert run(command, cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == "ietlab: OutOfDomain: 1/1 outside [0, 1/1)\n"
+
+
 def test_parse_config_bad_side_and_epsilon():
     with pytest.raises(ParseError):
         parse_config("side = up\n")

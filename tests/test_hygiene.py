@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, no unreferenced private name,
-map stepping kept behind ``iet.py``, one step kernel and one block test inside it, and one
-sign rule in ``exactnum.py``, the only module that reads or builds a ``QuadReal``'s coefficients.
+map stepping kept behind ``iet.py``, one step kernel that steps one way (backward walks
+step the inverse map) and one block test inside it, and one sign rule in ``exactnum.py``,
+the only module that reads or builds a ``QuadReal``'s coefficients.
 
 All read the modules with ``ast`` only, so they need no linter.
 """
@@ -71,8 +72,8 @@ def test_every_private_name_is_referenced():
     assert sorted(private - used) == []
 
 
-# a map's moves and lattices: whoever reads them can step the map
-MAP_STEPPING = {"_forward_lattice", "_backward_lattice", "tau"}
+# a map's moves, lattice and inverse: whoever reads them can step the map
+MAP_STEPPING = {"_forward_lattice", "_inverse", "tau"}
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"iet.py"}))
@@ -102,7 +103,17 @@ def functions(tree):
 def test_only_the_lattices_and_iet_new_read_tau():
     # every other step in iet.py goes through the kernel on the map's lattices
     readers = {f.name for f in functions(MODULES["iet.py"]) if reads(f, "tau")}
-    assert readers == {"iet_new", "_forward_lattice", "_backward_lattice"}
+    assert readers == {"iet_new", "_forward_lattice", "_inverse"}
+
+
+def test_the_walk_kernel_steps_one_way():
+    # a backward walk is a forward walk of Iet._inverse: one lattice per map, no direction flag
+    assert definitions("_backward_lattice") == []
+    assert all("_Encoded" not in private_definitions(tree) for tree in MODULES.values())
+    kernel = {f.name: f for f in functions(MODULES["iet.py"]) if f.name in ("_encode", "_points", "_steps")}
+    assert sorted(kernel) == ["_encode", "_points", "_steps"]
+    for name, f in kernel.items():
+        assert "backward" not in [a.arg for a in ast.walk(f.args) if isinstance(a, ast.arg)], name
 
 
 def test_iet_imports_no_bisect():

@@ -442,7 +442,7 @@ def test_point_view_matches_quad_walk(case, backward, with_width, steps, data):
     elif start == "sqrt3" and not any(a.d for a in T.alpha):
         x = T.total * (radical(3) - 1) / 2  # a rational map walks the point in Q(sqrt(3))
     expected = outcome(lambda: list(islice(quad_walk(T, x, width, backward=backward), steps)))
-    got = outcome(lambda: list(islice(_points(T, x, backward, width), steps)))
+    got = outcome(lambda: list(islice(_points(T._inverse if backward else T, x, width), steps)))
     assert got == expected
     if isinstance(got, list):
         floats = float_walk(T, x, [i for i, _ in got], backward)
@@ -455,7 +455,8 @@ def test_point_view_rejects_a_mixed_radicand():
         x = T.total * (radical(3) - 1) / 2
         for backward in (False, True):
             message = f"sqrt(3) and sqrt({T.alpha[0].d}) cannot mix"
-            assert outcome(lambda: next(_points(T, x, backward))) == ("MixedRadicand", message)
+            walked = T._inverse if backward else T
+            assert outcome(lambda: next(_points(walked, x))) == ("MixedRadicand", message)
             assert outcome(lambda: next(quad_walk(T, x, backward=backward))) == ("MixedRadicand", message)
 
 
@@ -513,9 +514,35 @@ def test_views_coerce_int_and_fraction_starts(start, expected):
     assert T.iterate(start, 0) is start  # power 0 reads nothing
 
 
+@st.composite
+def any_maps(draw):
+    """An IET with any permutation of 2..6 symbols and lengths in Q(sqrt(d)), d = 0 rational."""
+    d = draw(st.sampled_from([0, 2, 5, 1000003]))
+    n = draw(st.integers(2, 6))
+    sigma = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    rational = st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9)
+    radical_part = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    return iet_new(sigma, [abs(quad(draw(rational), draw(radical_part), d)) for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_maps())
+def test_inverse_is_the_exchange_of_the_inverse_permutation(T):
+    # T^-1 = T(sigma^-1, alpha o sigma^-1), read off T's fields: ends beta', image ends beta
+    inv = T.sigma.inverse()
+    expected = iet_new(inv, [T.alpha[i - 1] for i in inv.images])
+    R = T._inverse
+    for field in ("sigma", "alpha", "beta", "beta_prime", "tau"):
+        assert getattr(R, field) == getattr(expected, field), field
+    assert (R.beta, R.beta_prime, str(R.total)) == (T.beta_prime, T.beta, str(T.total))
+    assert R._forward_lattice[:2] == T._forward_lattice[:2]  # the same radicand and denominator D
+    assert T._inverse is R  # cached: one inverse, one encoding, per map
+    assert all(R.apply(T.apply(x)) == x for x in T.beta[:-1])
+
+
 def cached_lattices(T):
     """The map's two cached encodings, with their pair lists copied."""
-    return [(d, D, list(pairs)) for d, D, pairs in (T._forward_lattice, T._backward_lattice)]
+    return [(d, D, list(pairs)) for d, D, pairs in (T._forward_lattice, T._inverse._forward_lattice)]
 
 
 def test_lattice_walk_leaves_the_cached_encoding_unchanged():

@@ -266,6 +266,22 @@ def test_dual_cone_epsilon_controls_boundary(sqrt2_iet):
     assert strict in ("consistent_positive", "consistent_negative", "boundary")
 
 
+@pytest.mark.parametrize("epsilon, error, message", [
+    (0.5, TypeError, "epsilon must be an int or Fraction, not float"),
+    (Fraction(-1), ValueError, "epsilon must be nonnegative"),
+    (-1, ValueError, "epsilon must be nonnegative"),
+], ids=["float", "negative-fraction", "negative-int"])
+def test_dual_cone_epsilon_is_exact_and_nonnegative(sqrt2_iet, epsilon, error, message):
+    # a negative tolerance called both (1, -1) and (-1, 1) consistent_positive
+    cone = cone_approx(shrink_sequence(sqrt2_iet, quad(0), 10))
+    verdicts = {}
+    for vector in ((1, -1), (-1, 1)):
+        with pytest.raises(error, match=f"^{message}$"):
+            dual_cone_test(GroupElement(0, vector), cone, epsilon)
+        verdicts[vector] = dual_cone_test(GroupElement(0, vector), cone, 0)  # 0 is allowed
+    assert verdicts == {(1, -1): "consistent_negative", (-1, 1): "consistent_positive"}
+
+
 def test_l_sigma_two_interval():
     result = l_sigma(permutation(2, 1))
     assert result.matrix == ((0, -1), (1, 0))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath
 import pytest
 
 from ietlab import (
+    MixedRadicand,
     OutOfDomain,
     cone_approx,
     empirical_measure,
@@ -48,6 +50,20 @@ def test_cone_frozen_rays(sqrt2_iet, golden_iet):
     assert cone_approx(chain_of(golden_iet, 15)).rays[0] == (
         Fraction(196418, 317811), Fraction(121393, 317811),
     )
+
+
+@pytest.mark.parametrize("epsilon, error, message", [
+    (0.5, TypeError, "epsilon must be an int or Fraction, not float"),
+    ("1/2", TypeError, "epsilon must be an int or Fraction, not str"),
+    (None, TypeError, "epsilon must be an int or Fraction, not NoneType"),
+    (Fraction(-1), ValueError, "epsilon must be nonnegative"),
+    (-1, ValueError, "epsilon must be nonnegative"),
+], ids=["float", "str", "none", "negative-fraction", "negative-int"])
+def test_cluster_epsilon_is_exact_and_nonnegative(sqrt2_iet, epsilon, error, message):
+    chain = shrink_sequence(sqrt2_iet, quad(0), 4)
+    with pytest.raises(error, match=f"^{message}$"):
+        cone_approx(chain, epsilon)
+    assert cone_approx(chain, 0).clusters == cone_approx(chain, Fraction(0)).clusters == ((0,), (1,))
 
 
 def test_cluster_epsilon_widens_clusters(sqrt2_iet):
@@ -103,6 +119,15 @@ def test_empirical_measure_domain_check(sqrt2_iet):
         empirical_measure(sqrt2_iet, quad(2), 0, 5)
 
 
+def test_empirical_measure_tests_the_domain_in_the_walk(sqrt2_iet):
+    # the walk kernel's texts: the point alone names the domain, and the radicand is read first
+    for point, error, message in ((quad(1), OutOfDomain, "1/1 outside [0, 1/1)"),
+                                  (quad(-1), OutOfDomain, "-1/1 outside [0, 1/1)"),
+                                  (quad(-1, 1, 3), MixedRadicand, "sqrt(3) and sqrt(2) cannot mix")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            empirical_measure(sqrt2_iet, point, 0, 5)
+
+
 def test_empirical_measure_accepts_fraction_point(sqrt2_iet):
     vector = empirical_measure(sqrt2_iet, Fraction(1, 10), 0, 50)
     assert sum(vector.normalized) == 1
@@ -114,13 +139,14 @@ def test_empirical_measure_rejects_a_float_point(sqrt2_iet):
 
 
 def test_empirical_measure_compares_few_times(monkeypatch):
-    # the visit count walks on integers; only the domain check compares QuadReals
-    # (6 calls; 13,497 when the count walked on QuadReal)
+    # the visit count walks on integers and leaves the domain test to the walk, so no
+    # QuadReal is compared (6 calls with a QuadReal domain check; 13,497 when the count
+    # walked on QuadReal)
     maps = [sqrt2_example(), golden_example(), four_example()]
     calls = count_compares(monkeypatch)
     for T in maps:
         empirical_measure(T, 0, 0, 2000)
-    assert calls[0] <= 100
+    assert calls[0] == 0
 
 
 def test_empirical_measure_counts_in_constant_memory(sqrt2_iet):
