@@ -302,11 +302,7 @@ def _cmd_profile(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
         rows.append(_row("adjusted_length", singularity.adjusted_length, i=s))
         rows.append(_row("multiplicity", singularity.multiplicity, i=s))
         rows.append(_row("prongs", singularity.prongs, i=s))
-    for c, cycle in enumerate(profile.dropped_cycles, start=1):
-        rows += [_row("dropped_cycle_member", member, c, position + 1)
-                 for position, member in enumerate(cycle)]
-    if profile.genus is not None:
-        rows.append(_row("genus", profile.genus))
+    rows.append(_row("genus", profile.genus))
     rows.append(_row("closed_transversal", int(profile.closed_transversal)))
     rows += [_row("fake_saddle", j, i=index)
              for index, j in enumerate(profile.fake_saddles, start=1)]
@@ -323,7 +319,8 @@ def _strip_levels(config: ExperimentConfig) -> tuple[Iet, tuple[suspension.Strip
 def _cmd_strips(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
     T, levels = _strip_levels(config)
     rows: list[Row] = []
-    cells: dict[int, tuple[str, ...]] = {}  # each orbit point's two cells by exponent, formatted once
+    # each orbit point's two cells by exponent, formatted once; the right edge's by None
+    cells: dict[int | None, tuple[str, ...]] = {}
     for level in levels:
         print(f"level {level.level}: K={level.K}")
         rows.append(_row("K", level.K, level.level))
@@ -339,7 +336,7 @@ def _cmd_strips(config: ExperimentConfig, out: Path) -> tuple[list[Row], int]:
             for position, floor in enumerate(strip.floors, start=1):
                 for kind, key, value in (
                         ("floor_left", floor.left_exponent, floor.left),
-                        ("floor_right", floor.right_exponent or suspension._TOTAL, floor.right)):
+                        ("floor_right", floor.right_exponent or None, floor.right)):
                     cells[key] = cells.get(key) or _row(kind, value)[4:]
                     rows.append((kind, str(level.level), str(strip.index), str(position), *cells[key]))
         if level.incidence_to_previous is not None:

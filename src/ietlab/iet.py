@@ -268,11 +268,14 @@ def idoc_check(T: Iet, depth: int) -> IdocResult:
         raise ValueError("depth must be >= 1")
     if not irreducible(T.sigma):
         return IdocResult(False, depth, None, "sigma is reducible")
-    seen: dict[tuple[int, int], tuple[int, int]] = {}  # one lattice: equal pairs, equal points
-    lattice, starts = _encode(T, T.beta[1:T.n])
+    lattice, starts = _encode(T, T.beta[1:T.n])  # one lattice: equal pairs, equal points
+    # T is injective, so the first collision in walk order is a visit to some beta(j): keep
+    # only each beta(j)'s first visit, (j, 0) until an earlier orbit passes it
+    first = {y: (j, 0) for j, y in enumerate(starts, start=1)}
     for i, y in enumerate(starts, start=1):
         for k, (_, p, q) in enumerate(islice(_steps(T, lattice, y), depth + 1)):
-            if (p, q) in seen:
-                return IdocResult(False, depth, (seen[p, q], (i, k)), "orbit collision")
-            seen[p, q] = (i, k)
+            if (p, q) in first:
+                if first[p, q] < (i, k):
+                    return IdocResult(False, depth, (first[p, q], (i, k)), "orbit collision")
+                first[p, q] = (i, k)
     return IdocResult(True, depth)

@@ -215,10 +215,7 @@ def shrink_sequence(T: Iet, y0: QuadReal, depth: int,
     origin = quad(0)
     for k in range(1, depth):
         current = chain[-1].induced
-        if y == current.total:
-            if side != "left":
-                raise DegenerateAt(
-                    f"y0 pinned to the right endpoint at stage {k}")
+        if y == current.total:  # only a side="left" step leaves y on the right end
             idx = current.n - 1
         else:
             idx = current.interval_index(y) - 1

@@ -75,7 +75,7 @@ def render_strip_level(T: Iet, level: StripLevel) -> str:
             y_top = bottom - (position + 1) * band
             lines.append(
                 f'<rect x="{_px(unit, floor.left)}" y="{_py(y_top)}"'
-                f' width="{_width(unit, floor.left, floor.right)}" height="{_length(band)}"'
+                f' width="{_width(unit, floor.left, floor.right)}" height="{quad_approx(band, _COORD_DIGITS)}"'
                 f' fill="none" stroke="gray" stroke-dasharray="{DASH}"/>'
             )
             center = (floor.left + floor.right) / 2
@@ -102,13 +102,9 @@ def render_strip_level(T: Iet, level: StripLevel) -> str:
 def _rect(unit: QuadReal, left: QuadReal, right: QuadReal, y_top: Fraction, height: Fraction, fill: str) -> str:
     return (
         f'<rect x="{_px(unit, left)}" y="{_py(y_top)}" width="{_width(unit, left, right)}"'
-        f' height="{_length(height)}" fill="{fill}"/>'
+        f' height="{quad_approx(height, _COORD_DIGITS)}" fill="{fill}"/>'
     )
 
 
 def _width(unit: QuadReal, left: QuadReal, right: QuadReal) -> str:
     return quad_approx((right - left) * unit, _COORD_DIGITS)
-
-
-def _length(value: Fraction) -> str:
-    return quad_approx(value, _COORD_DIGITS)

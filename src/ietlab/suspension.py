@@ -58,9 +58,10 @@ class SingularityProfile:
     """Combinatorial singularity data of the suspension of a permutation.
 
     ``sigma0`` is the boundary permutation on {0..n} as an image tuple and
-    ``cycles`` are its cycles, ``N`` of them.  Every cycle with a member
-    other than 0 and n is a singularity; the rest are ``dropped_cycles``.
-    ``genus`` is None when the multiplicities sum to an odd number.
+    ``cycles`` are its cycles, ``N`` of them, and each is a singularity:
+    irreducible sigma has sigma(1) != 1 and sigma(n) != n, so sigma_0(0) lies
+    in 1..n-1 and sigma_0(n) != n, and no cycle lies inside {0, n}.  The
+    multiplicities sum to (n - 1) - N = 2 genus - 2.
     ``closed_transversal`` is sigma(n) = sigma(1) - 1, ``fake_saddles``
     lists the j with sigma(j + 1) = sigma(j) + 1, and
     ``endpoints_share_cycle`` says whether 0 and n lie on one cycle.
@@ -70,8 +71,7 @@ class SingularityProfile:
     cycles: tuple[tuple[int, ...], ...]
     N: int
     singularities: tuple[Singularity, ...]
-    dropped_cycles: tuple[tuple[int, ...], ...]
-    genus: int | None
+    genus: int
     closed_transversal: bool
     fake_saddles: tuple[int, ...]
     endpoints_share_cycle: bool
@@ -111,26 +111,19 @@ def singularity_profile(sigma: Permutation) -> SingularityProfile:
     cycles = _cycles_of(images)
     n = sigma.n
     singularities = []
-    dropped = []
     for cycle in cycles:
         kept = [j for j in cycle if j not in (0, n)]
-        if not kept:
-            dropped.append(cycle)
-            continue
         k = len(kept) - 1
         singularities.append(
             Singularity(cycle=cycle, adjusted_length=len(kept), multiplicity=k, prongs=2 * k + 2)
         )
-    total_k = sum(s.multiplicity for s in singularities)
-    genus = (total_k + 2) // 2 if total_k % 2 == 0 else None
     shared = any(0 in cycle and n in cycle for cycle in cycles)
     return SingularityProfile(
         sigma0=images,
         cycles=cycles,
         N=len(cycles),
         singularities=tuple(singularities),
-        dropped_cycles=tuple(dropped),
-        genus=genus,
+        genus=(sum(s.multiplicity for s in singularities) + 2) // 2,
         closed_transversal=sigma(n) == sigma(1) - 1,
         fake_saddles=tuple(j for j in range(1, n) if sigma(j + 1) == sigma(j) + 1),
         endpoints_share_cycle=shared,
@@ -294,8 +287,7 @@ class _OrbitCache:
         return plain, prime
 
 
-def _flow_strip(T: Iet, cache: _OrbitCache,
-                bottom: tuple[int, int]) -> tuple[tuple[Floor, ...], tuple[int, ...]]:
+def _flow_strip(T: Iet, cache: _OrbitCache, bottom: tuple[int, int]) -> tuple[Floor, ...]:
     """Read the floors of a bottom (left, right exponents) off the orbit table until one lands.
 
     Floor s is [T^(l+s)(0), T^(r+s)(0)), with the total length for a right exponent
@@ -307,7 +299,6 @@ def _flow_strip(T: Iet, cache: _OrbitCache,
     left_exponent, right_exponent = bottom
     ends, less = cache.lattice[2], cache.less  # beta(0..n) first, the total at n
     floors: list[Floor] = []
-    word: list[int] = []
     for step in range(cache.max_steps):
         l, r = left_exponent + step, right_exponent + step
         left = cache.point(l)
@@ -318,10 +309,9 @@ def _flow_strip(T: Iet, cache: _OrbitCache,
         floors.append(Floor(cache.value(l), cache.value(r) if r else T.total, l, r,
                             i if inside or not landed else None))
         if landed:
-            return tuple(floors), tuple(word)
+            return tuple(floors)
         if not inside and step + 1 < cache.max_steps:
             raise ConsistencyViolation(f"block [{floors[-1].left}, {floors[-1].right}) crosses beta({i})")
-        word.append(i)
     raise DepthExceeded(f"strip did not close within {cache.max_steps} floors")
 
 
@@ -334,7 +324,9 @@ def _level_strips(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerT
         raise ConsistencyViolation(f"expected {n} strip bottoms, found {len(bottoms)}")
     lefts = [cache.point(left) for left, _ in bottoms]
     bottoms.sort(key=lambda bottom: sum(cache.less(x, cache.point(bottom[0])) for x in lefts))
-    strips = [Strip(index, *_flow_strip(T, cache, bottom)) for index, bottom in enumerate(bottoms, start=1)]
+    # a floor below the top has not landed, so it lies in one interval: the visit word reads them
+    strips = [Strip(index, floors, tuple(f.interval for f in floors[:-1]))
+              for index, floors in enumerate((_flow_strip(T, cache, b) for b in bottoms), start=1)]
     if not tiles(((f.left_exponent, f.right_exponent or _TOTAL) for s in strips for f in s.floors), 0, _TOTAL):
         raise ConsistencyViolation("strip floors do not tile the interval")
     return strips

@@ -141,10 +141,10 @@ def test_criterion_5_suspension_combinatorics():
             assert profile.fake_saddles == fixed
             if profile.closed_transversal:
                 assert profile.sigma0[n] == 0
-            if not profile.fake_saddles and profile.endpoints_share_cycle:
-                assert (n + 1 - profile.N) % 2 == 0
-                assert profile.genus is not None
-                assert n == 2 * profile.genus + len(profile.singularities) - 1
+            # irreducible sigma leaves no cycle inside {0, n}: every cycle is a singularity
+            assert all(any(0 < j < n for j in cycle) for cycle in profile.cycles)
+            assert len(profile.singularities) == profile.N
+            assert n == 2 * profile.genus + profile.N - 1
             checked += 1
     spot = singularity_profile(permutation(3, 1, 4, 2))
     assert spot.genus == 2

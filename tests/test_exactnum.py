@@ -433,3 +433,23 @@ def test_quadreal_takes_exact_inputs_only(a, b, d):
 def test_quadreal_of_ints_is_a_normal_value():
     assert QuadReal(1, 0, 0) == quad(1)
     assert QuadReal(1, 0, 0) < quad(2) and str(QuadReal(1, 0, 0)) == "1/1"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QuadReal(Fraction(1), Fraction(1), -2), ValueError, "radicand must be nonnegative"),
+    (lambda: QuadReal(Fraction(1), Fraction(0), 2), ValueError, "rational values must carry d == 0"),
+    (lambda: QuadReal(Fraction(0), Fraction(1), 1), ValueError, "non-normalized radicand"),
+    (lambda: QuadReal(Fraction(0), Fraction(1), 8), ValueError, "radicand must be square-free"),
+    (lambda: radical(2) / 0, ZeroDivisionError, "division by zero"),
+    (lambda: quad(1, 1, -2), ValueError, "radicand must be nonnegative"),
+    (lambda: quad_approx(radical(2), 0), ValueError, "digits must be >= 1"),
+], ids=["negative-d", "rational-with-d", "d-one", "d-not-square-free", "divide-by-zero",
+        "quad-negative-d", "zero-digits"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_text_is_not_equal_and_float_rounds():
+    assert (radical(2) == "x") is False
+    assert float(radical(2)) == 1.4142135623730951

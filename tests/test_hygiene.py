@@ -156,3 +156,40 @@ def test_iet_imports_nothing_from_fractions():
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "fractions" not in modules and not reads(tree, "Fraction")
+
+
+# the private names one module reads from another: a new one is a visible edit here
+CROSS_MODULE_PRIVATE = {
+    "cli.py": {"exactnum._clipped", "exactnum._integer_token", "exactnum._quoted", "iet._points"},
+    "iet.py": {"exactnum._Lattice", "exactnum._as_quad", "exactnum._clipped", "exactnum._lattice",
+               "exactnum._point", "exactnum._positive"},
+    "induction.py": {"exactnum._lattice", "exactnum._point", "iet._lattice_walk"},
+    "ktheory.py": {"iet._lattice_walk", "iet._points", "measures._check_epsilon"},
+    "measures.py": {"iet._encode", "iet._steps"},
+    "suspension.py": {"exactnum._clipped", "exactnum._point", "exactnum._positive", "iet._encode",
+                      "iet._steps"},
+}
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def cross_module_private_names(tree):
+    """Every ``from .m import _x`` and every ``m._x`` read of a package module m, as "m._x"."""
+    modules = {path[:-3] for path in MODULES}
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                for alias in node.names if alias.name in modules}
+    names = {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None
+             for alias in node.names if private(alias.name)}
+    names |= {f"{imported[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported and private(node.attr)}
+    return names
+
+
+def test_cross_module_private_names():
+    found = {module: cross_module_private_names(tree) for module, tree in MODULES.items()}
+    assert {module: names for module, names in found.items() if names} == CROSS_MODULE_PRIVATE

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietlab import (
     ConsistencyViolation,
+    IdocResult,
     Iet,
     IetlabError,
     InvalidPermutation,
@@ -21,6 +23,7 @@ from ietlab import (
     iet_new,
     irreducible,
     orbit,
+    orbit_point,
     permutation,
     quad,
     radical,
@@ -580,3 +583,35 @@ def test_mixed_radicand_message_repeats_on_one_map():
     for M in (T, R):
         args = (M, quad(Fraction(1, 10)), 10, None, (), False, False)
         assert outcome(_lattice_walk, *args) == outcome(lattice_walk_by_quad_steps, *args)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda T: orbit(T, quad(0), 3, 2), ValueError, "empty exponent range"),
+    (lambda T: orbit_point(T, 3, 0), OutOfDomain, "no separation point with index 3"),
+    (lambda T: orbit_point(T, -1, 0), OutOfDomain, "no separation point with index -1"),
+    (lambda T: orbit_point(T, 2, 1), OutOfDomain, "beta(n) is not in the domain of T"),
+    (lambda T: idoc_check(T, 0), ValueError, "depth must be >= 1"),
+], ids=["orbit-empty-range", "orbit-point-base-above-n", "orbit-point-negative-base",
+        "orbit-point-steps-beta-n", "idoc-depth-zero"])
+def test_input_checks(sqrt2_iet, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(sqrt2_iet)
+
+
+def test_idoc_reports_a_reducible_sigma():
+    T = iet_new(permutation(1, 2), [quad(1), radical(2)])
+    assert idoc_check(T, 5) == IdocResult(False, 5, None, "sigma is reducible")
+
+
+def test_idoc_keeps_only_the_separation_points():
+    # T is injective, so one entry per beta(j) decides the check; storing every orbit
+    # point of this walk (3 * 10^5 pairs) peaks at about 68 MB
+    T = four_example()
+    tracemalloc.start()
+    try:
+        result = idoc_check(T, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == IdocResult(True, 10**5)
+    assert peak < 2**20

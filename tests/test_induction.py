@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -13,6 +14,7 @@ from ietlab import (
     DegenerateAt,
     Iet,
     IetlabError,
+    OrbitPoint,
     OutOfDomain,
     QuadReal,
     ReturnTimeExceeded,
@@ -413,3 +415,15 @@ def test_induce_outcomes_match_the_stored_table():
     stored = json.loads(INDUCE_OUTCOMES.read_text(encoding="utf-8"))
     assert len(stored) == sum(4 * T.n + 5 for T in outcome_maps().values())
     assert induce_outcomes() == stored
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda T: is_admissible(T, OrbitPoint(0, 0, quad(-1)), OrbitPoint(1, 0, T.beta[1])),
+     OutOfDomain, "interval endpoints outside the domain"),
+    (lambda T: is_admissible(T, OrbitPoint(1, 0, T.beta[1]), OrbitPoint(2, 0, T.total + 1)),
+     OutOfDomain, "interval endpoints outside the domain"),
+    (lambda T: shrink_sequence(T, quad(0), 0), ValueError, "depth must be >= 1"),
+], ids=["admissible-left-below-0", "admissible-right-above-total", "shrink-depth-zero"])
+def test_input_checks(sqrt2_iet, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(sqrt2_iet)

@@ -431,3 +431,23 @@ def test_strip_group_rejects_bad_incidence(sqrt2_iet, incidence):
     levels[1] = dataclasses.replace(levels[1], incidence_to_previous=incidence)
     with pytest.raises(ShapeViolation):
         dimension_group(strips=levels)
+
+
+def sqrt2_group():
+    return dimension_group(chain=shrink_sequence(sqrt2_example(), quad(0), 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bratteli([]), ValueError, "bratteli needs a nonempty chain"),
+    (lambda: dimension_group(chain=[]), ValueError, "chain must be nonempty"),
+    (lambda: dimension_group(strips=()), ValueError, "strips must be nonempty"),
+    (lambda: positivity(sqrt2_group(), GroupElement(0, (1, 0)), 0), ValueError, "horizon must be positive"),
+    (lambda: positivity(sqrt2_group(), GroupElement(0, (1,)), 1), ValueError,
+     "element does not fit the group"),
+    (lambda: positivity(sqrt2_group(), GroupElement(-1, (1, 0)), 1), ValueError,
+     "element does not fit the group"),
+], ids=["bratteli-empty", "group-empty-chain", "group-empty-strips", "positivity-horizon-zero",
+        "positivity-short-vector", "positivity-negative-level"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

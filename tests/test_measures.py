@@ -159,3 +159,17 @@ def test_empirical_measure_counts_in_constant_memory(sqrt2_iet):
         tracemalloc.stop()
     assert sum(vector.normalized) == 1
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda T: cone_approx([]), ValueError, "cone_approx needs a nonempty chain"),
+    (lambda T: empirical_measure(T, quad(0), -1, 10), ValueError, "window start must be nonnegative"),
+    (lambda T: empirical_measure(T, quad(0), 0, 0), ValueError, "window length must be positive"),
+    (lambda T: unique_ergodicity_certificate(shrink_sequence(T, quad(0), 2), 0), ValueError,
+     "required_blocks must be positive"),
+    (lambda T: unique_ergodicity_certificate([], 1), ValueError, "certificate needs a nonempty chain"),
+], ids=["cone-empty", "measure-negative-start", "measure-zero-length", "certificate-zero-blocks",
+        "certificate-empty"])
+def test_input_checks(sqrt2_iet, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(sqrt2_iet)

@@ -462,3 +462,11 @@ def test_strip_outcomes_match_the_stored_table():
     stored = json.loads(STRIP_OUTCOMES.read_text(encoding="utf-8"))
     assert len(stored) == 315
     assert strip_outcomes() == stored
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda T: strip_decomposition(T, 0), ValueError, "levels must be positive"),
+], ids=["strips-zero-levels"])
+def test_input_checks(sqrt2_iet, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(sqrt2_iet)
