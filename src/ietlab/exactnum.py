@@ -247,9 +247,7 @@ def radical(d: int) -> QuadReal:
 
 def quad_sign(x: "QuadReal | RationalLike") -> int:
     """Exact sign of a QuadReal, int or Fraction, decided in integer arithmetic."""
-    x = _as_quad(x)
-    p, q = x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator
-    return _positive(p, q, x.d) - _positive(-p, -q, x.d)
+    return _as_quad(x)._compare(0)
 
 
 def _floor_times(x: QuadReal, m: int) -> int:

@@ -75,7 +75,7 @@ class InductionStep:
     """One induction: the first-return map of parent on J, with its matrix.
 
     origin is the absolute left endpoint of J in the coordinates of the
-    chain's original system (0 for a step induced directly from it).
+    chain's original system (J.left for a step induced directly from it).
     """
 
     parent: Iet

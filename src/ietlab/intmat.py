@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
+def freeze(rows: Iterable[Iterable[int]]) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
 

@@ -24,7 +24,7 @@ from .iet import Iet, Permutation, _lattice_walk, _points, tiles
 from .induction import DEFAULT_MAX_STEPS, AdmissibleInterval, InductionStep, induce
 from .intmat import IntMatrix, column_sums, det, freeze, identity_plus_unit
 from .measures import ConeApprox, _check_epsilon
-from .suspension import StripLevel
+from .suspension import StripLevel, singularity_profile
 
 PositivityVerdict = Literal["zero", "positive", "nonpositive_witness", "unknown"]
 ConeVerdict = Literal["consistent_positive", "consistent_negative", "boundary"]
@@ -130,7 +130,7 @@ def _verify_edge(T: Iet, A: IntMatrix, prev: list[QuadReal], cur: list[QuadReal]
     for m in range(1, len(cur)):
         width = cur[m] - cur[m - 1]
         counts = [0] * (len(prev) - 1)
-        for t, (_, x) in enumerate(islice(_points(T, cur[m - 1], width=width), max_steps)):
+        for t, (_, x) in enumerate(islice(_points(T, cur[m - 1], width=width), max_steps + 1)):
             right = x + width
             if t and cur[0] <= x and right <= cur[-1]:
                 break
@@ -288,20 +288,8 @@ class LSigma:
 
 
 def l_sigma(sigma: Permutation) -> LSigma:
-    """Evaluate the antisymmetric intersection matrix of a permutation."""
-    n = sigma.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i > j and sigma(i) < sigma(j):
-                row.append(1)
-            elif i < j and sigma(i) > sigma(j):
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(row)
-    matrix = freeze(rows)
+    """The antisymmetric matrix L_sigma: column i is the class one step through interval i adds."""
+    matrix = freeze(zip(*(coinvariant_shift(sigma, i) for i in range(1, sigma.n + 1))))
     determinant = det(matrix)
     return LSigma(matrix=matrix, det=determinant, invertible=determinant != 0)
 
@@ -358,7 +346,13 @@ def strip_class_matrix(T: Iet, level: StripLevel) -> IntMatrix:
             raise ConsistencyViolation(f"strip {strip.index} floors disagree in class")
         columns.append(per_floor[0])
     matrix = freeze([[columns[j][i] for j in range(n)] for i in range(n)])
-    if det(matrix) not in (1, -1):
+    determinant = det(matrix)
+    if determinant not in (1, -1):
+        profile = singularity_profile(T.sigma)
+        if determinant == 0 and profile.N >= 2:
+            raise ConsistencyViolation(
+                f"strip class matrix has det 0: 2g = {2 * profile.genus} < n = {n}, as sigma_0 has "
+                f"N = {profile.N} cycles and the strips are bounded by the singularity at 0 only")
         raise ConsistencyViolation("strip class matrix is not unimodular")
     return matrix
 

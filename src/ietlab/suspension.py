@@ -345,24 +345,23 @@ def _first_depth(T: Iet, cache: _OrbitCache) -> tuple[int, int]:
     return k, k + 1 if T.sigma(i) in (1, T.n) else k
 
 
-def _next_depth(T: Iet, cache: _OrbitCache, plain: MarkerTable, prime: MarkerTable) -> tuple[int, int]:
+def _next_depth(T: Iet, cache: _OrbitCache, prime: MarkerTable) -> tuple[int, int]:
     """Climb the orbit past the deepest primed span marker to the next landing.
 
-    A landing in the span of beta(j) lies in interval i = j or j + 1, never on
-    beta(j); the depth is bumped when I(i) maps to the end interval on its side.
+    A point of I(i) lands when it moves a marker of the previous depth: above the highest
+    folded point of I(i) (in the span of beta(i), or the right column), or below the lowest.
+    The depth is bumped when I(i) maps to the end interval on the landing's side, which an
+    irreducible sigma never does for a column.  T is injective: no point lies on a folded one.
     """
-    n, less, spans = T.n, cache.less, cache.spans
-    start = max(prime[(d, i)].exponent for d in (0, 1) for i in range(1, n))
-    left_col, right_col = cache.point(plain[(1, 0)].exponent), cache.point(plain[(0, n)].exponent)
+    less, points = cache.less, cache.points
+    start = max(prime[(d, i)].exponent for d in (0, 1) for i in range(1, T.n))
     for m in range(start + 1, cache.max_steps):
         z = cache.point(m)
-        i = z[0]
-        for j in range(max(i - 1, 1), min(i + 1, n)):
-            if less(spans[j - 1][0], z) and less(z, spans[j - 1][1]):
-                return m, m + 1 if T.sigma(i) == (n if i == j else 1) else m
-        # z lies in (0, total): a return to 0 would follow T^-1(0), which the cache rejects
-        if less(z, left_col) or less(right_col, z):
-            return m, m
+        highest, lowest = cache.extremes[(False, z[0])]
+        if less(points[highest], z):
+            return m, m + 1 if T.sigma(z[0]) == T.n else m
+        if less(z, points[lowest]):
+            return m, m + 1 if T.sigma(z[0]) == 1 else m
     raise DepthExceeded(f"no landing below {cache.max_steps} orbit steps")
 
 
@@ -430,18 +429,15 @@ def strip_decomposition(T: Iet, levels: int, max_steps: int = DEFAULT_MAX_STEPS)
         raise ValueError("levels must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    if not irreducible(T.sigma):
-        raise Reducible(f"sigma {_clipped(str(T.sigma.images))} is reducible")
-    if T.sigma(T.n) != T.sigma(1) - 1:
+    if not singularity_profile(T.sigma).closed_transversal:
         raise ClosedTransversalRequired(
             f"sigma {_clipped(str(T.sigma.images))} has no closed transversal through 0"
         )
     cache = _OrbitCache(T, max_steps)
     out: list[StripLevel] = []
-    markers: MarkerTable = {}
     primed: MarkerTable = {}
     for level in range(1, levels + 1):
-        raw, K = _next_depth(T, cache, markers, primed) if out else _first_depth(T, cache)
+        raw, K = _next_depth(T, cache, primed) if out else _first_depth(T, cache)
         if out and K <= out[-1].K:
             raise ConsistencyViolation("strip depth failed to increase")
         markers, primed = cache.deepen(K)

@@ -229,6 +229,14 @@ def test_cli_group_includes_strip_matrices_when_levels_set(tmp_path):
     assert "strip_chain" not in (tmp_path / "plain" / "group.csv").read_text()
 
 
+def test_cli_group_names_the_rank_deficit_of_the_strip_classes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "d = 2\nsigma = 3 1 2\nalpha = 1/3+3/11r, 10/3-3/8r, 5/3-1/3r\nlevels = 1\n")
+    assert run("group", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "ietlab: ConsistencyViolation: strip class matrix has det 0: 2g = 2 < n = 3, as sigma_0 has "
+        "N = 2 cycles and the strips are bounded by the singularity at 0 only\n")
+
+
 def test_cli_exit_code_parse_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bogus = 1\n")
     assert run("orbit", cfg, tmp_path / "out") == 4

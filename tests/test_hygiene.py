@@ -193,3 +193,25 @@ def cross_module_private_names(tree):
 def test_cross_module_private_names():
     found = {module: cross_module_private_names(tree) for module, tree in MODULES.items()}
     assert {module: names for module, names in found.items() if names} == CROSS_MODULE_PRIVATE
+
+
+def function(module, name):
+    return next(f for f in functions(MODULES[module]) if f.name == name)
+
+
+def test_each_fact_has_one_source():
+    # the depth rule reads the marker fold, not the spans built from it
+    next_depth = function("suspension.py", "_next_depth")
+    assert "plain" not in [a.arg for a in ast.walk(next_depth.args) if isinstance(a, ast.arg)]
+    assert not reads(next_depth, "spans") and reads(next_depth, "extremes")
+    # L_sigma is the matrix of translation classes
+    lsigma = function("ktheory.py", "l_sigma")
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(lsigma))
+    assert reads(lsigma, "coinvariant_shift")
+    # the strips take sigma's surface data from its profile and evaluate no sigma themselves
+    strips = function("suspension.py", "strip_decomposition")
+    assert not reads(strips, "irreducible") and reads(strips, "singularity_profile")
+    assert not any(isinstance(node, ast.Call) and reads(node.func, "sigma") for node in ast.walk(strips))
+    # quad_sign is _compare against 0
+    sign = function("exactnum.py", "quad_sign")
+    assert not reads(sign, "numerator") and not reads(sign, "_positive") and reads(sign, "_compare")

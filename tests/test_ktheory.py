@@ -27,6 +27,7 @@ from ietlab import (
     l_sigma,
     mat_mul,
     orbit_classes,
+    parse_quad,
     permutation,
     positivity,
     quad,
@@ -116,9 +117,9 @@ def test_bratteli_recount_rejects_a_broken_chain(sqrt2_iet, y0, edit, max_steps,
 
 
 @pytest.mark.parametrize("prev, max_steps, error, message", [
-    ((0, 1), 1, ReturnTimeExceeded, "no return within 1 steps"),
-    ((0, 1), 2, ConsistencyViolation, "block [0/1, 1/2) crosses beta(1)"),
-    ((0, Fraction(1, 4), 1), 2, ConsistencyViolation, "walk block straddles a previous tower base"),
+    ((0, 1), 0, ReturnTimeExceeded, "no return within 0 steps"),
+    ((0, 1), 1, ConsistencyViolation, "block [0/1, 1/2) crosses beta(1)"),
+    ((0, Fraction(1, 4), 1), 1, ConsistencyViolation, "walk block straddles a previous tower base"),
 ], ids=["last-point", "crossing", "straddle-first"])
 def test_recount_tests_a_crossing_after_the_straddles_and_before_a_step(sqrt2_iet, prev, max_steps,
                                                                          error, message):
@@ -126,6 +127,15 @@ def test_recount_tests_a_crossing_after_the_straddles_and_before_a_step(sqrt2_ie
     A = tuple((1,) for _ in prev[1:])
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _verify_edge(sqrt2_iet, A, [quad(v) for v in prev], [quad(0), quad(Fraction(1, 2))], max_steps)
+
+
+@pytest.mark.parametrize("example, R", [(sqrt2_example, 7), (golden_example, 8)], ids=["sqrt2", "golden"])
+def test_bratteli_budget_allows_a_return_after_exactly_max_steps(example, R):
+    # R is the longest return under T over the chain's levels, as in induce's budget
+    chain = shrink_sequence(example(), quad(Fraction(1, 10)), 4)
+    assert len(bratteli(chain, R).edges) == 4
+    with pytest.raises(ReturnTimeExceeded, match=f"^no return within {R - 1} steps$"):
+        bratteli(chain, R - 1)
 
 
 def test_bratteli_recount_adds_few_times(monkeypatch):
@@ -371,6 +381,34 @@ def test_strip_class_matrix_frozen(sqrt2_iet, golden_iet):
     assert strip_class_matrix(sqrt2_iet, levels[0]) == ((-1, 3), (1, -2))
     glevels = strip_decomposition(golden_iet, 1)
     assert strip_class_matrix(golden_iet, glevels[0]) == ((-1, 2), (2, -3))
+
+
+@pytest.mark.parametrize("images, alpha, n, N", [
+    ((3, 1, 2), ("1/3+3/11r", "10/3-3/8r", "5/3-1/3r"), 3, 2),
+    ((2, 3, 4, 5, 1), ("2+1/12r", "12/11+4r", "2-4/3r", "1/3+3/4r", "7/9-3/10r"), 5, 4),
+], ids=["genus-1-n-3", "genus-1-n-5"])
+def test_strip_class_matrix_names_the_rank_deficit(images, alpha, n, N):
+    # floors end on the orbit of 0 or the right edge only: their classes span 2g < n dimensions
+    T = iet_new(permutation(*images), [parse_quad(a, 2) for a in alpha])
+    profile = singularity_profile(T.sigma)
+    assert (profile.N, profile.genus) == (N, 1)
+    level = strip_decomposition(T, 1)[0]
+    bottoms = [strip.floors[0] for strip in level.strips]
+    classes = orbit_classes(T, max(max(f.left_exponent, f.right_exponent) for f in bottoms))
+    ends = [(classes[f.left_exponent], classes[f.right_exponent] if f.right_exponent else (1,) * n)
+            for f in bottoms]
+    assert rank([[right[i] - left[i] for left, right in ends] for i in range(n)]) == 2
+    message = (f"strip class matrix has det 0: 2g = 2 < n = {n}, as sigma_0 has N = {N} cycles "
+               "and the strips are bounded by the singularity at 0 only")
+    with pytest.raises(ConsistencyViolation, match=f"^{re.escape(message)}$"):
+        strip_class_matrix(T, level)
+
+
+def test_strip_class_matrix_keeps_its_text_with_one_singularity(sqrt2_iet):
+    level = strip_decomposition(sqrt2_iet, 1)[0]
+    twice = dataclasses.replace(level, strips=(level.strips[0],) * 2)
+    with pytest.raises(ConsistencyViolation, match="^strip class matrix is not unimodular$"):
+        strip_class_matrix(sqrt2_iet, twice)
 
 
 def test_strip_class_matrices_chain(sqrt2_iet, golden_iet):

@@ -323,6 +323,28 @@ def test_strips_require_closed_transversal():
         strip_decomposition(T, 1)
 
 
+REDUCIBLE = ((2, 1, 3), [quad(Fraction(1, 3))] * 3)
+OPEN = ((4, 3, 2, 1), [quad(Fraction(1, 4)) + radical(2) / 8, quad(Fraction(1, 4)),
+                       quad(Fraction(1, 4)), quad(Fraction(1, 4)) - radical(2) / 8])
+
+
+@pytest.mark.parametrize("data, levels, max_steps, error, message", [
+    (REDUCIBLE, 0, 0, ValueError, "levels must be positive"),
+    (REDUCIBLE, 1, 0, ValueError, "max_steps must be positive"),
+    (REDUCIBLE, 1, 1, Reducible, "sigma (2, 1, 3) is reducible"),
+    (OPEN, 0, 0, ValueError, "levels must be positive"),
+    (OPEN, 1, 0, ValueError, "max_steps must be positive"),
+    (OPEN, 1, 1, ClosedTransversalRequired, "sigma (4, 3, 2, 1) has no closed transversal through 0"),
+], ids=["reducible-levels", "reducible-budget", "reducible", "open-levels", "open-budget", "open"])
+def test_strip_checks_come_in_order(data, levels, max_steps, error, message):
+    T = iet_new(permutation(*data[0]), data[1])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        strip_decomposition(T, levels, max_steps=max_steps)
+    if error is Reducible:  # the profile's own check, word for word
+        with pytest.raises(Reducible, match=f"^{re.escape(message)}$"):
+            singularity_profile(T.sigma)
+
+
 def test_strips_reject_rational_data():
     T = iet_new(permutation(2, 1), [quad(Fraction(1, 3)), quad(Fraction(2, 3))])
     with pytest.raises(NotVerifiedIDOC, match="^orbit of 0 hits a separation point at exponent 2$"):
